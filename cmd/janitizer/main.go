@@ -4,7 +4,10 @@
 //
 // Usage:
 //
-//	janitizer -tool jasan|jmsan|jtsan|jcfi [-libdir dir] [-outdir dir] main.jef
+//	janitizer [-tool name] [-libdir dir] [-outdir dir] main.jef
+//
+// -tool takes any internal/registry name except the artifact tools
+// (jlint); -h lists them.
 package main
 
 import (
@@ -12,19 +15,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/buildinfo"
 	"repro/internal/core"
-	"repro/internal/jasan"
-	"repro/internal/jcfi"
 	"repro/internal/jefdir"
-	"repro/internal/jmsan"
-	"repro/internal/jtsan"
+	"repro/internal/registry"
 )
 
 func main() {
-	toolName := flag.String("tool", "jasan", "security technique: jasan, jmsan, jtsan or jcfi")
+	toolNames := registry.Select(registry.Runnable)
+	toolName := flag.String("tool", "jasan", "security technique: "+strings.Join(toolNames, ", "))
 	libdir := flag.String("libdir", "", "directory of dependency .jef modules")
 	outdir := flag.String("outdir", ".", "directory to write .jrw rule files into")
 	versionFlag := flag.Bool("version", false, "print build version and exit")
@@ -34,7 +37,7 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: janitizer -tool jasan|jmsan|jtsan|jcfi [flags] main.jef")
+		fmt.Fprintln(os.Stderr, "usage: janitizer [flags] main.jef")
 		os.Exit(2)
 	}
 	main, err := jefdir.ReadModule(flag.Arg(0))
@@ -45,22 +48,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var tool core.Tool
-	switch *toolName {
-	case "jasan":
-		tool = jasan.New(jasan.Config{UseLiveness: true})
-	case "jmsan":
-		tool = jmsan.New(jmsan.Config{UseLiveness: true})
-	case "jtsan":
-		tool = jtsan.New(jtsan.Config{UseLiveness: true})
-	case "jtsan-elide":
-		tool = jtsan.New(jtsan.Config{UseLiveness: true, Elide: true})
-	case "jcfi":
-		tool = jcfi.New(jcfi.DefaultConfig)
-	default:
+	if !slices.Contains(toolNames, *toolName) {
 		fatal(fmt.Errorf("unknown tool %q", *toolName))
 	}
-	files, err := core.AnalyzeProgram(main, reg, tool)
+	files, err := core.AnalyzeProgram(main, reg, registry.MustNew(*toolName))
 	if err != nil {
 		fatal(err)
 	}

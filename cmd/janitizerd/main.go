@@ -16,11 +16,10 @@
 //
 // API:
 //
-//	POST /analyze?tool=jasan|jasan-base|jasan-scev|jcfi|jcfi-forward|
-//	              jmsan|jmsan-elide|jtsan|jtsan-elide|jasan+jmsan|
-//	              comprehensive
+//	POST /analyze?tool=<any internal/registry name>
 //	    request body:  a serialized JEF module
-//	    response body: the module's marshaled .jrw rule file
+//	    response body: the module's marshaled .jrw rule file (jlint: its
+//	    JSON report)
 //	    (X-Cache: local|peer|miss says where the answer came from)
 //	POST /analyze/batch
 //	    JSON batch: {"requests":[{"tool":...,"module":<base64>},...]}

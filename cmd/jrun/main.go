@@ -6,8 +6,11 @@
 //
 // Usage:
 //
-//	jrun [-tool jasan|jmsan|jtsan|jcfi|none] [-libdir dir] [-rules dir] [-stats]
-//	     [-profile] [-report] main.jef
+//	jrun [-tool name] [-libdir dir] [-rules dir] [-stats] [-profile] [-report] main.jef
+//
+// -tool takes any internal/registry name except the artifact tools
+// (jlint); -h lists them. -rules picks up the files janitizer wrote for the
+// same name.
 //
 // -profile attributes every executed cycle to its originating rule kind and
 // prints the per-cost-center table to stderr after the run; attribution
@@ -25,25 +28,23 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/buildinfo"
 	"repro/internal/core"
-	"repro/internal/dbm"
 	"repro/internal/diag"
-	"repro/internal/jasan"
-	"repro/internal/jcfi"
 	"repro/internal/jefdir"
-	"repro/internal/jmsan"
-	"repro/internal/jtsan"
 	"repro/internal/loader"
+	"repro/internal/registry"
 	"repro/internal/rules"
 	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
 func main() {
-	toolName := flag.String("tool", "jasan", "security technique: jasan, jmsan, jtsan, jcfi or none")
+	toolNames := registry.Select(registry.Runnable)
+	toolName := flag.String("tool", "jasan", "security technique: "+strings.Join(toolNames, ", "))
 	libdir := flag.String("libdir", "", "directory of dependency .jef modules")
 	rulesDir := flag.String("rules", "", "directory of .jrw rewrite-rule files")
 	stats := flag.Bool("stats", false, "print cycle and coverage statistics")
@@ -69,55 +70,10 @@ func main() {
 		fatal(err)
 	}
 
-	var tool core.Tool
-	var report func() []string
-	switch *toolName {
-	case "jasan":
-		jt := jasan.New(jasan.Config{UseLiveness: true})
-		tool = jt
-		report = func() []string {
-			var out []string
-			for _, v := range jt.Report.Violations {
-				out = append(out, v.String())
-			}
-			return out
-		}
-	case "jmsan":
-		mt := jmsan.New(jmsan.Config{UseLiveness: true})
-		tool = mt
-		report = func() []string {
-			var out []string
-			for _, v := range mt.Report.Violations {
-				out = append(out, v.String())
-			}
-			return out
-		}
-	case "jtsan", "jtsan-elide":
-		tt := jtsan.New(jtsan.Config{UseLiveness: true, Elide: *toolName == "jtsan-elide"})
-		tool = tt
-		report = func() []string {
-			var out []string
-			for _, v := range tt.Report.Violations {
-				out = append(out, v.String())
-			}
-			return out
-		}
-	case "jcfi":
-		ct := jcfi.New(jcfi.DefaultConfig)
-		tool = ct
-		report = func() []string {
-			var out []string
-			for _, v := range ct.Report.Violations {
-				out = append(out, v.String())
-			}
-			return out
-		}
-	case "none":
-		tool = nullTool{}
-		report = func() []string { return nil }
-	default:
+	if !slices.Contains(toolNames, *toolName) {
 		fatal(fmt.Errorf("unknown tool %q", *toolName))
 	}
+	tool := registry.MustNew(*toolName)
 
 	files := map[string]*rules.File{}
 	if *rulesDir != "" {
@@ -164,8 +120,12 @@ func main() {
 		diag.Collect(dlog, tool, diag.NewProcessSymbolizer(proc), telemetry.SpanContext{})
 		fmt.Fprint(os.Stderr, diag.Render(dlog))
 	} else {
-		for _, line := range report() {
-			fmt.Fprintln(os.Stderr, line)
+		for _, leaf := range core.Leaves(tool) {
+			if f, ok := leaf.(diag.Finder); ok {
+				for _, v := range f.Findings() {
+					fmt.Fprintln(os.Stderr, v.Line)
+				}
+			}
 		}
 	}
 	if prof != nil {
@@ -181,18 +141,6 @@ func main() {
 		fatal(runErr)
 	}
 	os.Exit(int(m.ExitStatus & 0xff))
-}
-
-type nullTool struct{}
-
-func (nullTool) Name() string                                { return "none" }
-func (nullTool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
-func (nullTool) RuntimeInit(*core.Runtime) error             { return nil }
-func (nullTool) Instrument(bc *dbm.BlockContext, _ map[uint64][]rules.Rule) []dbm.CInstr {
-	return dbm.NullClient{}.OnBlock(bc)
-}
-func (nullTool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
-	return dbm.NullClient{}.OnBlock(bc)
 }
 
 func fatal(err error) {

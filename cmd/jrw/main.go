@@ -18,23 +18,26 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/buildinfo"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/jasan"
-	"repro/internal/jcfi"
-	"repro/internal/jmsan"
+	"repro/internal/registry"
 	"repro/internal/rewrite"
 	"repro/internal/spec"
 )
 
 func main() {
 	bench := flag.String("bench", "", "comma-separated workload names (default: all)")
+	planned := registry.Select(func(t core.Tool) bool {
+		_, ok := t.(core.PlannedTool)
+		return ok
+	})
 	scheme := flag.String("scheme", "comprehensive",
-		"tool configuration: jasan|jcfi|jmsan|comprehensive")
+		"tool configuration: "+strings.Join(planned, "|"))
 	verify := flag.Bool("verify", false, "run the structural verifier over every rewritten module")
 	parity := flag.Bool("parity", false,
 		"run dynamic/static/hybrid and cross-check verdicts and output")
@@ -46,8 +49,7 @@ func main() {
 		return
 	}
 
-	newTool, ok := schemes[*scheme]
-	if !ok {
+	if !slices.Contains(planned, *scheme) {
 		fmt.Fprintf(os.Stderr, "jrw: unknown scheme %q\n", *scheme)
 		os.Exit(2)
 	}
@@ -67,11 +69,11 @@ func main() {
 		if err != nil {
 			fatal(name, err)
 		}
-		files, err := core.AnalyzeProgram(main, reg, newTool())
+		files, err := core.AnalyzeProgram(main, reg, registry.MustNew(*scheme))
 		if err != nil {
 			fatal(name, err)
 		}
-		plans, err := rewrite.CapturePlans(main, reg, files, newTool())
+		plans, err := rewrite.CapturePlans(main, reg, files, registry.MustNew(*scheme))
 		if err != nil {
 			fatal(name, err)
 		}
@@ -129,34 +131,15 @@ func main() {
 	}
 }
 
-// schemes maps the rewrite-capable tool configurations to constructors
-// (fresh instance per call: capture and runs must not share tool state).
-var schemes = map[string]func() core.Tool{
-	"jasan": func() core.Tool { return jasan.New(jasan.Config{UseLiveness: true}) },
-	"jcfi":  func() core.Tool { return jcfi.New(jcfi.DefaultConfig) },
-	"jmsan": func() core.Tool { return jmsan.New(jmsan.Config{UseLiveness: true}) },
-	"comprehensive": func() core.Tool {
-		return core.NewMultiTool(
-			jasan.New(jasan.Config{UseLiveness: true}),
-			jmsan.New(jmsan.Config{UseLiveness: true}),
-			jcfi.New(jcfi.DefaultConfig))
-	},
-}
-
-// experimentScheme maps jrw scheme names onto the evaluation harness's.
-var experimentScheme = map[string]experiments.Scheme{
-	"jasan":         experiments.JASanHybrid,
-	"jcfi":          experiments.JCFIHybrid,
-	"jmsan":         experiments.JMSanHybrid,
-	"comprehensive": experiments.Comprehensive,
-}
-
 // checkParity executes the workload under all three backends and demands
 // identical sanitizer verdicts and byte-identical output. RunBackend itself
 // already enforces exit-status and output parity against the native run, so
 // a hard error here is also a parity failure.
 func checkParity(w *spec.Workload, scheme string) error {
-	s := experimentScheme[scheme]
+	s, ok := experiments.HybridScheme(scheme)
+	if !ok {
+		return fmt.Errorf("%s: no evaluation scheme runs %s", w.Name, scheme)
+	}
 	dyn, err := experiments.RunBackend(w, s, experiments.BackendDynamic)
 	if err != nil {
 		return fmt.Errorf("%s: dynamic: %w", w.Name, err)

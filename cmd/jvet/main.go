@@ -32,13 +32,10 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/jasan"
-	"repro/internal/jcfi"
 	"repro/internal/jlint"
-	"repro/internal/jmsan"
-	"repro/internal/jtsan"
 	"repro/internal/loader"
 	"repro/internal/obj"
+	"repro/internal/registry"
 	"repro/internal/rewrite"
 	"repro/internal/spec"
 	"repro/internal/vsa"
@@ -86,17 +83,9 @@ func main() {
 	}
 }
 
-// tools returns fresh instances of every elision-enabled configuration
-// whose proofs jvet replays. Fresh per call: tools carry per-run state.
-func tools() []core.Tool {
-	return []core.Tool{
-		jasan.New(jasan.Config{UseLiveness: true, Elide: true}),
-		jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true, Elide: true}),
-		jcfi.New(jcfi.Config{Forward: true, Backward: true, Narrow: true}),
-		jmsan.New(jmsan.Config{UseLiveness: true, Elide: true}),
-		jtsan.New(jtsan.Config{UseLiveness: true, Elide: true}),
-	}
-}
+// vetTools are the elision-enabled configurations whose proofs jvet
+// replays, by internal/registry name.
+var vetTools = []string{"jasan-elide", "jasan-scev-elide", "jcfi-narrow", "jmsan-elide", "jtsan-elide"}
 
 type vetter struct {
 	verbose    bool
@@ -132,8 +121,9 @@ func (v *vetter) vetWorkload(w *spec.Workload) error {
 
 	for _, mod := range mods {
 		hash := mod.HashString()
-		for _, tool := range tools() {
-			key := hash + "/" + toolID(tool)
+		for _, name := range vetTools {
+			tool := registry.MustNew(name)
+			key := hash + "/" + core.ToolKey(tool)
 			if v.done[key] {
 				continue
 			}
@@ -152,27 +142,19 @@ func (v *vetter) vetWorkload(w *spec.Workload) error {
 	return v.vetRewrite(w, main, reg)
 }
 
-// rewriteTool is the configuration the rewriting pass vets: the combined
-// jasan+jmsan+jcfi tool, so every tool's plan fragments are exercised.
-// Fresh per call: tools carry per-run state.
-func rewriteTool() core.Tool {
-	return core.NewMultiTool(
-		jasan.New(jasan.Config{UseLiveness: true}),
-		jmsan.New(jmsan.Config{UseLiveness: true}),
-		jcfi.New(jcfi.DefaultConfig))
-}
-
 // vetRewrite statically rewrites the workload's module closure from freshly
 // captured plans and re-derives every structural guarantee with the
 // independent verifier. Memoized by (module hash, plan bytes): a shared
 // module recurs across workloads, but its plan can differ per program
 // placement, so the plan encoding is part of the key.
 func (v *vetter) vetRewrite(w *spec.Workload, main *obj.Module, reg loader.Registry) error {
-	files, err := core.AnalyzeProgram(main, reg, rewriteTool())
+	// The combined configuration, so every tool's plan fragments are
+	// exercised; fresh instances per stage (tools carry per-run state).
+	files, err := core.AnalyzeProgram(main, reg, registry.MustNew("comprehensive"))
 	if err != nil {
 		return err
 	}
-	plans, err := rewrite.CapturePlans(main, reg, files, rewriteTool())
+	plans, err := rewrite.CapturePlans(main, reg, files, registry.MustNew("comprehensive"))
 	if err != nil {
 		return err
 	}
@@ -213,13 +195,6 @@ func (v *vetter) vetRewrite(w *spec.Workload, main *obj.Module, reg loader.Regis
 	return nil
 }
 
-func toolID(tool core.Tool) string {
-	if ck, ok := tool.(interface{ ConfigKey() string }); ok {
-		return tool.Name() + ":" + ck.ConfigKey()
-	}
-	return tool.Name()
-}
-
 func (v *vetter) vetModule(mod *obj.Module, tool core.Tool, closure []*obj.Module) error {
 	rf, ps, err := core.AnalyzeModuleProofs(mod, tool)
 	if err != nil {
@@ -228,10 +203,10 @@ func (v *vetter) vetModule(mod *obj.Module, tool core.Tool, closure []*obj.Modul
 	v.passes++
 	v.claims += ps.NumClaims()
 	if v.verbose {
-		fmt.Printf("jvet: %-12s %-40s %4d claims\n", mod.Name, toolID(tool), ps.NumClaims())
+		fmt.Printf("jvet: %-12s %-40s %4d claims\n", mod.Name, core.ToolKey(tool), ps.NumClaims())
 	}
 	for _, viol := range vsa.Verify(mod, ps, rf) {
-		v.violations = append(v.violations, toolID(tool)+": "+viol.String())
+		v.violations = append(v.violations, core.ToolKey(tool)+": "+viol.String())
 	}
 	v.dischargeAssumes(mod, ps, closure)
 	return nil

@@ -17,12 +17,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diag"
-	"repro/internal/jasan"
-	"repro/internal/jcfi"
-	"repro/internal/jlint"
-	"repro/internal/jmsan"
-	"repro/internal/jtsan"
 	"repro/internal/obj"
+	"repro/internal/registry"
 	"repro/internal/telemetry"
 )
 
@@ -35,54 +31,14 @@ const MaxModuleBytes = 64 << 20
 // share the same name/ConfigKey.
 type ToolFactory func() core.Tool
 
-// DefaultTools returns the daemon's built-in tool registry.
+// DefaultTools returns the daemon's tool table: every internal/registry
+// name, each factory building a fresh registry instance.
 func DefaultTools() map[string]ToolFactory {
-	return map[string]ToolFactory{
-		"jasan": func() core.Tool {
-			return jasan.New(jasan.Config{UseLiveness: true})
-		},
-		"jasan-base": func() core.Tool {
-			return jasan.New(jasan.Config{})
-		},
-		"jasan-scev": func() core.Tool {
-			return jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true})
-		},
-		"jcfi": func() core.Tool {
-			return jcfi.New(jcfi.DefaultConfig)
-		},
-		"jcfi-forward": func() core.Tool {
-			return jcfi.New(jcfi.Config{Forward: true})
-		},
-		"jmsan": func() core.Tool {
-			return jmsan.New(jmsan.Config{UseLiveness: true})
-		},
-		"jmsan-elide": func() core.Tool {
-			return jmsan.New(jmsan.Config{UseLiveness: true, Elide: true})
-		},
-		"jtsan": func() core.Tool {
-			return jtsan.New(jtsan.Config{UseLiveness: true})
-		},
-		"jtsan-elide": func() core.Tool {
-			return jtsan.New(jtsan.Config{UseLiveness: true, Elide: true})
-		},
-		"jasan+jmsan": func() core.Tool {
-			return core.NewMultiTool(
-				jasan.New(jasan.Config{UseLiveness: true}),
-				jmsan.New(jmsan.Config{UseLiveness: true}),
-			)
-		},
-		"jlint": func() core.Tool {
-			return jlint.New()
-		},
-		"comprehensive": func() core.Tool {
-			return core.NewMultiTool(
-				jasan.New(jasan.Config{UseLiveness: true}),
-				jmsan.New(jmsan.Config{UseLiveness: true}),
-				jtsan.New(jtsan.Config{UseLiveness: true}),
-				jcfi.New(jcfi.DefaultConfig),
-			)
-		},
+	out := make(map[string]ToolFactory)
+	for _, name := range registry.Names() {
+		out[name] = func() core.Tool { return registry.MustNew(name) }
 	}
+	return out
 }
 
 // HandlerOpts configures the service's HTTP API surface.

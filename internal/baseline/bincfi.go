@@ -45,6 +45,9 @@ func NewBinCFI() *BinCFITool {
 // Name implements core.Tool.
 func (t *BinCFITool) Name() string { return "bincfi-sim" }
 
+// ViolationCount implements core.ViolationCounter.
+func (t *BinCFITool) ViolationCount() int { return len(t.Report.Violations) }
+
 // CheckInput rejects modules whose .text contains bytes that linear
 // disassembly misclassifies relative to sound recovery — static rewriting of
 // such modules produces broken binaries.

@@ -55,6 +55,9 @@ func (t *RetrowriteTool) CheckInput(mod *obj.Module) error {
 // Name implements core.Tool.
 func (t *RetrowriteTool) Name() string { return "retrowrite-sim" }
 
+// ViolationCount implements core.ViolationCounter.
+func (t *RetrowriteTool) ViolationCount() int { return int(t.Report.Total) }
+
 // StaticPass implements core.Tool: Retrowrite refuses non-PIC modules and
 // otherwise performs the sanitizer's static analysis.
 func (t *RetrowriteTool) StaticPass(sc *core.StaticContext) []rules.Rule {

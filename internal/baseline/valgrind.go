@@ -112,6 +112,19 @@ func (t *ValgrindTool) Name() string {
 	return "valgrind-sim"
 }
 
+// ViolationCount implements core.ViolationCounter: every enabled report
+// family summed.
+func (t *ValgrindTool) ViolationCount() int {
+	n := int(t.Report.Total)
+	if t.DefReport != nil {
+		n += int(t.DefReport.Total)
+	}
+	if t.TemporalReport != nil {
+		n += int(t.TemporalReport.Total)
+	}
+	return n
+}
+
 // StaticPass implements core.Tool: Valgrind has no static stage.
 func (t *ValgrindTool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
 

@@ -73,6 +73,29 @@ type Tool interface {
 	RuntimeInit(rt *Runtime) error
 }
 
+// NullTool is the null client as a Tool: identity translation, no rules
+// and no runtime (Fig. 8's DynamoRIO baseline).
+type NullTool struct{}
+
+// Name implements Tool.
+func (NullTool) Name() string { return "null-client" }
+
+// StaticPass implements Tool: nothing to rewrite.
+func (NullTool) StaticPass(*StaticContext) []rules.Rule { return nil }
+
+// Instrument implements Tool: the block as-is.
+func (NullTool) Instrument(bc *dbm.BlockContext, _ map[uint64][]rules.Rule) []dbm.CInstr {
+	return dbm.NullClient{}.OnBlock(bc)
+}
+
+// DynFallback implements Tool: the block as-is.
+func (NullTool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
+	return dbm.NullClient{}.OnBlock(bc)
+}
+
+// RuntimeInit implements Tool: no run-time state.
+func (NullTool) RuntimeInit(*Runtime) error { return nil }
+
 // ArtifactTool is a Tool whose analysis product is a custom artifact (for
 // example internal/jlint's bug report) rather than a rewrite-rule file. The
 // service layer routes such tools through AnalyzeArtifact and validates
@@ -116,7 +139,7 @@ func AnalyzeModuleProofs(mod *obj.Module, tool Tool) (*rules.File, *vsa.ProofSet
 func analyzeModuleProofs(ctx context.Context, mod *obj.Module, tool Tool) (*rules.File, *vsa.ProofSet, error) {
 	sp, _ := telemetry.StartSpanFrom(ctx, "core.analyze",
 		telemetry.String("module", mod.Name),
-		telemetry.String("tool", toolKey(tool)))
+		telemetry.String("tool", ToolKey(tool)))
 	defer sp.End()
 
 	csp := sp.Child("cfg.build")
@@ -128,7 +151,7 @@ func analyzeModuleProofs(ctx context.Context, mod *obj.Module, tool Tool) (*rule
 	sc := &StaticContext{
 		Module: mod,
 		Graph:  g,
-		Proofs: vsa.NewProofSet(mod.Name, toolKey(tool)),
+		Proofs: vsa.NewProofSet(mod.Name, ToolKey(tool)),
 	}
 	for _, pass := range []struct {
 		name string
@@ -164,9 +187,6 @@ func analyzeModuleProofs(ctx context.Context, mod *obj.Module, tool Tool) (*rule
 	sp.SetAttr(telemetry.Int("rules", int64(len(rs))))
 	return &rules.File{Module: mod.Name, Rules: rs}, sc.Proofs, nil
 }
-
-// toolKey identifies a (tool, configuration) pair in proof artifacts.
-func toolKey(tool Tool) string { return ToolKey(tool) }
 
 // ToolKey identifies a (tool, configuration) pair: the tool name plus its
 // ConfigKey when it has one. Proof artifacts, rewrite plans and caches all

@@ -21,8 +21,8 @@ type InstrPlan interface {
 
 // PlannedTool is a Tool whose block rewriting decomposes into per-
 // instruction hooks. Tools implementing it compose under MultiTool: the
-// paper's "comprehensive" configuration runs JASan, JMSan and JCFI over one
-// shared translation of every block instead of three.
+// paper's "comprehensive" configuration runs JASan, JMSan, JTSan and JCFI
+// over one shared translation of every block instead of four.
 type PlannedTool interface {
 	Tool
 	// PlanStatic prepares the plan for a statically-seen block (the rule-
@@ -63,6 +63,40 @@ type MultiTool struct {
 // NewMultiTool composes tools in the given order.
 func NewMultiTool(tools ...PlannedTool) *MultiTool {
 	return &MultiTool{Tools: tools}
+}
+
+// Leaves flattens tool into its individual techniques in composition
+// order: a MultiTool's sub-tools (recursively), or tool itself. Report
+// harvesting (violation counts, structured findings, per-technique
+// runtime knobs) walks the leaves, never a concrete composition type.
+func Leaves(tool Tool) []Tool {
+	m, ok := tool.(*MultiTool)
+	if !ok {
+		return []Tool{tool}
+	}
+	var out []Tool
+	for _, t := range m.Tools {
+		out = append(out, Leaves(t)...)
+	}
+	return out
+}
+
+// ViolationCounter is a Tool that counts the violations its run reported,
+// including any dropped past the tool's report storage cap.
+type ViolationCounter interface {
+	ViolationCount() int
+}
+
+// CountViolations sums ViolationCount over tool's leaves; leaves that
+// report no violations (the null client, jlint) count zero.
+func CountViolations(tool Tool) int {
+	n := 0
+	for _, t := range Leaves(tool) {
+		if vc, ok := t.(ViolationCounter); ok {
+			n += vc.ViolationCount()
+		}
+	}
+	return n
 }
 
 // Name implements Tool: the sub-tool names joined with "+".

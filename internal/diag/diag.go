@@ -12,8 +12,8 @@
 // instead of panic-string matching.
 //
 // Collection is strictly pull-based and post-run: the trap handlers keep
-// their existing per-tool Report structs and diag converts them
-// afterwards, so runs without diagnostics enabled execute bit-identically
+// their existing per-tool Report structs and each tool converts them
+// afterwards (Finder), so runs without diagnostics enabled execute bit-identically
 // (the PR 5 invariant extends to this package).
 package diag
 
@@ -76,6 +76,9 @@ type Violation struct {
 	SpanID  string `json:"span_id,omitempty"`
 	// Count is how many raw reports deduplicated into this record.
 	Count uint64 `json:"count"`
+	// Line is the reporting tool's own one-line rendering of the raw
+	// report (jrun's default output). Not serialised, not identity.
+	Line string `json:"-"`
 }
 
 // cweByKind maps tool violation classes to CWE identifiers.

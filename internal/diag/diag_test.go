@@ -1,4 +1,4 @@
-package diag
+package diag_test
 
 import (
 	"encoding/json"
@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/core"
+	"repro/internal/diag"
 	"repro/internal/jasan"
 	"repro/internal/jcfi"
 	"repro/internal/jmsan"
@@ -15,8 +16,8 @@ import (
 )
 
 func TestAddDedupAndCount(t *testing.T) {
-	log := NewLog()
-	v := Violation{Tool: "jasan", Kind: "heap-buffer-overflow", PC: 0x400100, Addr: 0x2000, Width: 1}
+	log := diag.NewLog()
+	v := diag.Violation{Tool: "jasan", Kind: "heap-buffer-overflow", PC: 0x400100, Addr: 0x2000, Width: 1}
 	log.Add(v)
 	log.Add(v)
 	other := v
@@ -41,8 +42,8 @@ func TestAddDedupAndCount(t *testing.T) {
 func TestIDStableAcrossTraceBinding(t *testing.T) {
 	// The same bug under two different traced requests must collapse into
 	// one record keeping the first-seen trace binding.
-	log := NewLog()
-	v := Violation{Tool: "jtsan", Kind: "use-after-free", PC: 0x40, Addr: 0x99, Gen: 3}
+	log := diag.NewLog()
+	v := diag.Violation{Tool: "jtsan", Kind: "use-after-free", PC: 0x40, Addr: 0x99, Gen: 3}
 	v.TraceID, v.SpanID = "0af7651916cd43dd8448eb211c80319c", "b7ad6b7169203331"
 	log.Add(v)
 	v.TraceID, v.SpanID = "1af7651916cd43dd8448eb211c80319c", "c7ad6b7169203331"
@@ -69,12 +70,12 @@ func TestCWEMapping(t *testing.T) {
 		"made-up-kind":           "",
 	}
 	for kind, want := range cases {
-		if got := CWEForKind(kind); got != want {
-			t.Errorf("CWEForKind(%q) = %q, want %q", kind, got, want)
+		if got := diag.CWEForKind(kind); got != want {
+			t.Errorf("diag.CWEForKind(%q) = %q, want %q", kind, got, want)
 		}
 	}
-	log := NewLog()
-	log.Add(Violation{Tool: "jmsan", Kind: "uninitialized-read", PC: 1})
+	log := diag.NewLog()
+	log.Add(diag.Violation{Tool: "jmsan", Kind: "uninitialized-read", PC: 1})
 	if got := log.Entries()[0].CWE; got != "CWE-457" {
 		t.Fatalf("Add did not stamp CWE: %q", got)
 	}
@@ -82,10 +83,10 @@ func TestCWEMapping(t *testing.T) {
 
 func TestMarshalByteStable(t *testing.T) {
 	mk := func(order []uint64) []byte {
-		log := NewLog()
+		log := diag.NewLog()
 		for _, pc := range order {
-			log.Add(Violation{Tool: "jasan", Kind: "heap-buffer-overflow", PC: pc})
-			log.Add(Violation{Tool: "jcfi", Kind: "forward-edge", PC: pc, Target: pc + 8})
+			log.Add(diag.Violation{Tool: "jasan", Kind: "heap-buffer-overflow", PC: pc})
+			log.Add(diag.Violation{Tool: "jcfi", Kind: "forward-edge", PC: pc, Target: pc + 8})
 		}
 		b, err := json.Marshal(log)
 		if err != nil {
@@ -98,15 +99,15 @@ func TestMarshalByteStable(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("insertion order leaked into serialisation:\n%s\n%s", a, b)
 	}
-	var empty *Log
-	eb, err := json.Marshal(NewLog())
+	var empty *diag.Log
+	eb, err := json.Marshal(diag.NewLog())
 	if err != nil || string(eb) != "[]" {
 		t.Fatalf("empty log marshals %q (%v), want []", eb, err)
 	}
 	if empty.Len() != 0 || empty.Total() != 0 || empty.Entries() != nil {
 		t.Fatal("nil log not inert")
 	}
-	empty.Add(Violation{Tool: "jasan"}) // must not panic
+	empty.Add(diag.Violation{Tool: "jasan"}) // must not panic
 }
 
 // fakeSym symbolizes every PC to a fixed function.
@@ -144,8 +145,8 @@ func TestCollectAllFamiliesAndMultiTool(t *testing.T) {
 		SpanID:  "b7ad6b7169203331",
 		Sampled: true,
 	}
-	log := NewLog()
-	if n := Collect(log, multi, fakeSym{}, sc); n != 6 {
+	log := diag.NewLog()
+	if n := diag.Collect(log, multi, fakeSym{}, sc); n != 6 {
 		t.Fatalf("Collect = %d raw reports, want 6", n)
 	}
 	byRule := map[string]string{}
@@ -174,14 +175,14 @@ func TestCollectAllFamiliesAndMultiTool(t *testing.T) {
 }
 
 func TestRenderASanStyle(t *testing.T) {
-	log := NewLog()
-	log.Add(Violation{
+	log := diag.NewLog()
+	log.Add(diag.Violation{
 		Tool: "jasan", Kind: "heap-buffer-overflow", PC: 0x400124,
 		Module: "bug", Func: "main", FuncOff: 0xb6,
 		Addr: 0x20000022, Width: 1, Shadow: 0xf9, Object: 0x20000010,
 		Rule: "MEM_ACCESS", CostCenter: "mem-check",
 	})
-	out := Render(log)
+	out := diag.Render(log)
 	for _, want := range []string{
 		"==janitizer== ERROR: jasan: heap-buffer-overflow (CWE-122)",
 		"in main+0xb6 [bug]",
@@ -193,7 +194,7 @@ func TestRenderASanStyle(t *testing.T) {
 			t.Fatalf("render lacks %q:\n%s", want, out)
 		}
 	}
-	if got := Render(NewLog()); got != "==janitizer== no violations detected\n" {
+	if got := diag.Render(diag.NewLog()); got != "==janitizer== no violations detected\n" {
 		t.Fatalf("empty render = %q", got)
 	}
 }
@@ -211,7 +212,7 @@ int main() { return helper(4); }
 		t.Skip("module carries no function symbols at this SymLevel")
 	}
 	const base = 0x10000
-	sym := NewModuleSymbolizer(mod, base)
+	sym := diag.NewModuleSymbolizer(mod, base)
 	for _, fs := range syms {
 		m, fn, off, ok := sym.Symbolize(base + fs.Addr + 1)
 		if !ok {

@@ -13,14 +13,10 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cfg"
 	"repro/internal/core"
-	"repro/internal/dbm"
 	"repro/internal/diag"
-	"repro/internal/jasan"
-	"repro/internal/jcfi"
-	"repro/internal/jmsan"
-	"repro/internal/jtsan"
 	"repro/internal/loader"
 	"repro/internal/metrics"
+	"repro/internal/registry"
 	"repro/internal/rules"
 	"repro/internal/spec"
 	"repro/internal/telemetry"
@@ -230,7 +226,7 @@ func runWith(w *spec.Workload, scheme Scheme, prof *telemetry.Profile, obs *obsS
 	}
 
 	// Build the tool and decide whether a static stage runs.
-	tool, static, err := newTool(scheme)
+	tool, static, err := NewTool(scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -303,11 +299,9 @@ func runWith(w *spec.Workload, scheme Scheme, prof *telemetry.Profile, obs *obsS
 	res.Coverage = rt.Coverage
 	res.ElidedChecks, res.NarrowedBranches = countProofRules(files)
 
-	res.Violations = toolViolations(tool)
+	res.Violations = core.CountViolations(tool)
 	switch tt := tool.(type) {
-	case *jcfi.Tool:
-		res.DAIR = tt.DynamicAIR()
-	case *baseline.LockdownTool:
+	case interface{ DynamicAIR() float64 }: // JCFI, Lockdown
 		res.DAIR = tt.DynamicAIR()
 	case *baseline.BinCFITool:
 		res.DAIR = tt.AIR()
@@ -315,102 +309,67 @@ func runWith(w *spec.Workload, scheme Scheme, prof *telemetry.Profile, obs *obsS
 	return res, nil
 }
 
-// newTool builds the scheme's tool and reports whether its static analysis
+// janitizerSchemes maps each Janitizer scheme to its internal/registry
+// tool and whether its static analysis stage runs: a -dyn scheme is its
+// tool with the static stage off.
+var janitizerSchemes = map[Scheme]struct {
+	tool   string
+	static bool
+}{
+	NullClient:      {"none", false},
+	JASanHybrid:     {"jasan", true},
+	JASanHybridBase: {"jasan-base", true},
+	JASanSCEV:       {"jasan-scev", true},
+	JASanElide:      {"jasan-elide", true},
+	JASanDyn:        {"jasan-base", false},
+	JCFIHybrid:      {"jcfi", true},
+	JCFIForward:     {"jcfi-forward", true},
+	JCFINarrow:      {"jcfi-narrow", true},
+	JCFIDyn:         {"jcfi", false},
+	JMSanHybrid:     {"jmsan", true},
+	JMSanElide:      {"jmsan-elide", true},
+	JMSanDyn:        {"jmsan-base", false},
+	JTSanHybrid:     {"jtsan", true},
+	JTSanElide:      {"jtsan-elide", true},
+	JTSanDyn:        {"jtsan-base", false},
+	Comprehensive:   {"comprehensive", true},
+}
+
+// NewTool builds the scheme's tool and reports whether its static analysis
 // stage runs. Each call returns a fresh instance — plan capture and the
 // measured run must not share tool state.
-func newTool(scheme Scheme) (core.Tool, bool, error) {
+func NewTool(scheme Scheme) (core.Tool, bool, error) {
+	if s, ok := janitizerSchemes[scheme]; ok {
+		return registry.MustNew(s.tool), s.static, nil
+	}
 	switch scheme {
-	case NullClient:
-		return &passthroughTool{}, false, nil
-	case JASanHybrid:
-		return jasan.New(jasan.Config{UseLiveness: true}), true, nil
-	case JASanSCEV:
-		return jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true}), true, nil
-	case JASanElide:
-		return jasan.New(jasan.Config{UseLiveness: true, Elide: true}), true, nil
-	case JASanHybridBase:
-		return jasan.New(jasan.Config{UseLiveness: false, UseSCEV: false}), true, nil
-	case JASanDyn:
-		return jasan.New(jasan.Config{}), false, nil
 	case Valgrind:
 		return baseline.NewValgrind(), false, nil
+	case ValgrindDef:
+		return baseline.NewValgrindDef(), false, nil
+	case ValgrindTemp:
+		return baseline.NewValgrindTemporal(), false, nil
 	case Retrowrite:
 		return baseline.NewRetrowrite(), true, nil
-	case JCFIHybrid:
-		return jcfi.New(jcfi.DefaultConfig), true, nil
-	case JCFIForward:
-		return jcfi.New(jcfi.Config{Forward: true}), true, nil
-	case JCFINarrow:
-		return jcfi.New(jcfi.Config{Forward: true, Backward: true, Narrow: true}), true, nil
-	case JCFIDyn:
-		return jcfi.New(jcfi.DefaultConfig), false, nil
 	case Lockdown:
 		return baseline.NewLockdown(baseline.LockdownConfig{}), false, nil
 	case LockdownWeak:
 		return baseline.NewLockdown(baseline.LockdownConfig{Weak: true}), false, nil
 	case BinCFI:
 		return baseline.NewBinCFI(), true, nil
-	case JMSanHybrid:
-		return jmsan.New(jmsan.Config{UseLiveness: true}), true, nil
-	case JMSanElide:
-		return jmsan.New(jmsan.Config{UseLiveness: true, Elide: true}), true, nil
-	case JMSanDyn:
-		return jmsan.New(jmsan.Config{}), false, nil
-	case ValgrindDef:
-		return baseline.NewValgrindDef(), false, nil
-	case JTSanHybrid:
-		return jtsan.New(jtsan.Config{UseLiveness: true}), true, nil
-	case JTSanElide:
-		return jtsan.New(jtsan.Config{UseLiveness: true, Elide: true}), true, nil
-	case JTSanDyn:
-		return jtsan.New(jtsan.Config{}), false, nil
-	case ValgrindTemp:
-		return baseline.NewValgrindTemporal(), false, nil
-	case Comprehensive:
-		return core.NewMultiTool(
-			jasan.New(jasan.Config{UseLiveness: true}),
-			jmsan.New(jmsan.Config{UseLiveness: true}),
-			jtsan.New(jtsan.Config{UseLiveness: true}),
-			jcfi.New(jcfi.DefaultConfig)), true, nil
 	}
 	return nil, false, fmt.Errorf("unknown scheme %q", scheme)
 }
 
-// toolViolations extracts a tool's violation count; combined tools sum
-// their parts.
-func toolViolations(tool core.Tool) int {
-	switch tt := tool.(type) {
-	case *jasan.Tool:
-		return int(tt.Report.Total)
-	case *jmsan.Tool:
-		return int(tt.Report.Total)
-	case *jtsan.Tool:
-		return int(tt.Report.Total)
-	case *baseline.ValgrindTool:
-		n := int(tt.Report.Total)
-		if tt.DefReport != nil {
-			n += int(tt.DefReport.Total)
+// HybridScheme returns the scheme that runs registry tool name with its
+// static stage on, if there is one.
+func HybridScheme(name string) (Scheme, bool) {
+	for s, st := range janitizerSchemes {
+		if st.tool == name && st.static {
+			return s, true
 		}
-		if tt.TemporalReport != nil {
-			n += int(tt.TemporalReport.Total)
-		}
-		return n
-	case *baseline.RetrowriteTool:
-		return int(tt.Report.Total)
-	case *jcfi.Tool:
-		return len(tt.Report.Violations)
-	case *baseline.LockdownTool:
-		return len(tt.Report.Violations)
-	case *baseline.BinCFITool:
-		return len(tt.Report.Violations)
-	case *core.MultiTool:
-		n := 0
-		for _, sub := range tt.Tools {
-			n += toolViolations(sub)
-		}
-		return n
 	}
-	return 0
+	return "", false
 }
 
 // countProofRules tallies the VSA-backed decisions across a program's
@@ -432,20 +391,4 @@ func countProofRules(files map[string]*rules.File) (elided, narrowed int) {
 		}
 	}
 	return elided, narrowed
-}
-
-// passthroughTool is the null client as a core.Tool (Fig. 8's DynamoRIO
-// baseline).
-type passthroughTool struct{}
-
-func (passthroughTool) Name() string                                { return "null-client" }
-func (passthroughTool) StaticPass(*core.StaticContext) []rules.Rule { return nil }
-func (passthroughTool) RuntimeInit(*core.Runtime) error             { return nil }
-
-func (passthroughTool) Instrument(bc *dbm.BlockContext, _ map[uint64][]rules.Rule) []dbm.CInstr {
-	return dbm.NullClient{}.OnBlock(bc)
-}
-
-func (passthroughTool) DynFallback(bc *dbm.BlockContext) []dbm.CInstr {
-	return dbm.NullClient{}.OnBlock(bc)
 }

@@ -33,7 +33,7 @@ func RunBackend(w *spec.Workload, scheme Scheme, backend Backend) (*Result, erro
 	res := &Result{Benchmark: w.Name, Scheme: scheme, Backend: backend,
 		NativeCycles: native.Cycles}
 
-	tool, static, err := newTool(scheme)
+	tool, static, err := NewTool(scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +57,7 @@ func RunBackend(w *spec.Workload, scheme Scheme, backend Backend) (*Result, erro
 		return nil, fmt.Errorf("%s/%s/%s: static analysis: %w", w.Name, scheme, backend, err)
 	}
 	freshTool := func() core.Tool {
-		t, _, _ := newTool(scheme)
+		t, _, _ := NewTool(scheme)
 		return t
 	}
 	plans, err := service.RewritePlans(main, reg, files, freshTool, string(backend))
@@ -93,7 +93,7 @@ func RunBackend(w *spec.Workload, scheme Scheme, backend Backend) (*Result, erro
 	res.Output = out.Bytes()
 	res.Coverage = rr.Runtime.Coverage
 	res.ElidedChecks, res.NarrowedBranches = countProofRules(files)
-	res.Violations = toolViolations(tool)
+	res.Violations = core.CountViolations(tool)
 	return res, nil
 }
 

@@ -4,9 +4,9 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cfg"
 	"repro/internal/core"
-	"repro/internal/jcfi"
 	"repro/internal/loader"
 	"repro/internal/metrics"
+	"repro/internal/registry"
 	"repro/internal/rules"
 	"repro/internal/spec"
 )
@@ -32,7 +32,7 @@ func StaticAIR(w *spec.Workload) (jcfiAIR, bincfiAIR float64, bincfiFail string,
 	}
 	infos := map[string]*modInfo{}
 	var space float64
-	jcfiTool := jcfi.New(jcfi.DefaultConfig)
+	jcfiTool := registry.MustNew("jcfi")
 	binTool := baseline.NewBinCFI()
 	for _, mod := range mods {
 		g, err := cfg.Build(mod)

@@ -32,14 +32,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/fuzz/gen"
-	"repro/internal/jasan"
-	"repro/internal/jcfi"
-	"repro/internal/jmsan"
-	"repro/internal/jtsan"
 	"repro/internal/libj"
 	"repro/internal/loader"
 	"repro/internal/metrics"
 	"repro/internal/obj"
+	"repro/internal/registry"
 	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
@@ -138,19 +135,8 @@ func runTool(mod *obj.Module, reg loader.Registry, tool core.Tool,
 		rt.DBM.TraceHook = func(pc uint64) { cov.Add(feature(featDBMBlock, pc)) }
 	}
 	err = rt.Run(lm.RuntimeAddr(mod.Entry))
-	violations := 0
-	switch tt := tool.(type) {
-	case *jasan.Tool:
-		violations = int(tt.Report.Total)
-	case *jcfi.Tool:
-		violations = len(tt.Report.Violations)
-	case *jmsan.Tool:
-		violations = int(tt.Report.Total)
-	case *jtsan.Tool:
-		violations = int(tt.Report.Total)
-	}
 	return runOutcome{exit: m.ExitStatus, out: buf.String(), err: err,
-		overBudget: isBudgetFault(err)}, violations
+		overBudget: isBudgetFault(err)}, core.CountViolations(tool)
 }
 
 // Libj returns the shared runtime library registry every generated program
@@ -206,18 +192,15 @@ func CheckSource(p *gen.Prog, budget uint64) *SourceResult {
 				temporal = true
 			}
 		}
-		var plain, elide core.Tool
+		detector := "jasan"
 		switch {
 		case temporal:
-			plain = jtsan.New(jtsan.Config{UseLiveness: true})
-			elide = jtsan.New(jtsan.Config{UseLiveness: true, Elide: true})
+			detector = "jtsan"
 		case uninit:
-			plain = jmsan.New(jmsan.Config{UseLiveness: true})
-			elide = jmsan.New(jmsan.Config{UseLiveness: true, Elide: true})
-		default:
-			plain = jasan.New(jasan.Config{UseLiveness: true})
-			elide = jasan.New(jasan.Config{UseLiveness: true, Elide: true})
+			detector = "jmsan"
 		}
+		plain := registry.MustNew(detector)
+		elide := registry.MustNew(detector + "-elide")
 		out, n := runTool(o2, reg, plain, budget, res.Cov)
 		// A planted store corrupts real memory (allocator metadata
 		// included), so the run may spin to budget exhaustion *after* the
@@ -305,20 +288,20 @@ func CheckSource(p *gen.Prog, budget uint64) *SourceResult {
 	for _, tc := range []struct {
 		name string
 		mod  *obj.Module
-		tool core.Tool
+		tool string
 	}{
-		{"jasan", o2, jasan.New(jasan.Config{UseLiveness: true})},
-		{"jasan-scev", o2, jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true})},
-		{"jasan-elide", o2, jasan.New(jasan.Config{UseLiveness: true, Elide: true})},
-		{"jasan-elide-O0", o0, jasan.New(jasan.Config{UseLiveness: true, Elide: true})},
-		{"jcfi", o2, jcfi.New(jcfi.DefaultConfig)},
-		{"jcfi-narrow", o2, jcfi.New(jcfi.Config{Forward: true, Backward: true, Narrow: true})},
-		{"jmsan", o2, jmsan.New(jmsan.Config{UseLiveness: true})},
-		{"jmsan-elide", o2, jmsan.New(jmsan.Config{UseLiveness: true, Elide: true})},
-		{"jtsan", o2, jtsan.New(jtsan.Config{UseLiveness: true})},
-		{"jtsan-elide", o2, jtsan.New(jtsan.Config{UseLiveness: true, Elide: true})},
+		{"jasan", o2, "jasan"},
+		{"jasan-scev", o2, "jasan-scev"},
+		{"jasan-elide", o2, "jasan-elide"},
+		{"jasan-elide-O0", o0, "jasan-elide"},
+		{"jcfi", o2, "jcfi"},
+		{"jcfi-narrow", o2, "jcfi-narrow"},
+		{"jmsan", o2, "jmsan"},
+		{"jmsan-elide", o2, "jmsan-elide"},
+		{"jtsan", o2, "jtsan"},
+		{"jtsan-elide", o2, "jtsan-elide"},
 	} {
-		got, n := runTool(tc.mod, reg, tc.tool, budget, res.Cov)
+		got, n := runTool(tc.mod, reg, registry.MustNew(tc.tool), budget, res.Cov)
 		if got.overBudget {
 			res.OverBudget = true
 			return res

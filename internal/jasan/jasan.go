@@ -7,6 +7,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/dbm"
+	"repro/internal/diag"
 	"repro/internal/isa"
 	"repro/internal/rules"
 	"repro/internal/telemetry"
@@ -57,6 +58,25 @@ func (t *Tool) Name() string { return "jasan" }
 func (t *Tool) ConfigKey() string {
 	return fmt.Sprintf("liveness=%t,scev=%t,elide=%t",
 		t.cfg.UseLiveness, t.cfg.UseSCEV, t.cfg.Elide)
+}
+
+// ViolationCount implements core.ViolationCounter.
+func (t *Tool) ViolationCount() int { return int(t.Report.Total) }
+
+// Findings implements diag.Finder: every redzone report fired a MEM_ACCESS
+// check.
+func (t *Tool) Findings() []diag.Violation {
+	out := make([]diag.Violation, len(t.Report.Violations))
+	for i, v := range t.Report.Violations {
+		out[i] = diag.Violation{
+			Tool: "jasan", Kind: v.Kind, PC: v.PC,
+			Addr: v.Addr, Width: v.Width,
+			Shadow: v.Shadow, Object: v.Object,
+			Rule: "MEM_ACCESS", CostCenter: "mem-check",
+			Line: v.String(),
+		}
+	}
+	return out
 }
 
 // RuntimeInit implements core.Tool: installs the report trap family and

@@ -15,6 +15,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/dbm"
+	"repro/internal/diag"
 	"repro/internal/isa"
 	"repro/internal/loader"
 	"repro/internal/obj"
@@ -81,6 +82,28 @@ func (t *Tool) Name() string { return "jcfi" }
 func (t *Tool) ConfigKey() string {
 	return fmt.Sprintf("forward=%t,backward=%t,narrow=%t",
 		t.cfg.Forward, t.cfg.Backward, t.cfg.Narrow)
+}
+
+// ViolationCount implements core.ViolationCounter: JCFI stores every
+// report.
+func (t *Tool) ViolationCount() int { return len(t.Report.Violations) }
+
+// Findings implements diag.Finder: return mismatches fired the shadow
+// stack, every other edge a CFI_CALL check.
+func (t *Tool) Findings() []diag.Violation {
+	out := make([]diag.Violation, len(t.Report.Violations))
+	for i, v := range t.Report.Violations {
+		d := diag.Violation{
+			Tool: "jcfi", Kind: v.Kind, PC: v.PC, Target: v.Target,
+			Rule: "CFI_CALL", CostCenter: "cfi-check",
+			Line: v.String(),
+		}
+		if v.Kind == "return-mismatch" {
+			d.Rule, d.CostCenter = "CFI_RET", "shadow-stack"
+		}
+		out[i] = d
+	}
+	return out
 }
 
 // StaticPass implements core.Tool (§4.2.1): determine valid target sets by

@@ -1,4 +1,4 @@
-package jlint
+package jlint_test
 
 import (
 	"bytes"
@@ -6,26 +6,27 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/cc"
+	"repro/internal/jlint"
 	"repro/internal/juliet"
 	"repro/internal/obj"
 	"repro/internal/spec"
 )
 
-func analyzeAsm(t *testing.T, src string) *Report {
+func analyzeAsm(t *testing.T, src string) *jlint.Report {
 	t.Helper()
 	mod, err := asm.Assemble(src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	rep, err := Analyze(mod)
+	rep, err := jlint.Analyze(mod)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
 	return rep
 }
 
-func mustOfKind(rep *Report, k Kind) []Finding {
-	var out []Finding
+func mustOfKind(rep *jlint.Report, k jlint.Kind) []jlint.Finding {
+	var out []jlint.Finding
 	for _, f := range rep.Musts() {
 		if f.Kind == k {
 			out = append(out, f)
@@ -52,7 +53,7 @@ f:
     pop fp
     hlt
 `)
-	fs := mustOfKind(rep, OOBFrame)
+	fs := mustOfKind(rep, jlint.OOBFrame)
 	if len(fs) != 2 {
 		t.Fatalf("must oob-frame findings = %d, want 2: %+v", len(fs), rep.Findings)
 	}
@@ -78,7 +79,7 @@ f:
 glob:
     .quad 7
 `)
-	if n := len(mustOfKind(rep, OOBGlobal)); n != 1 {
+	if n := len(mustOfKind(rep, jlint.OOBGlobal)); n != 1 {
 		t.Fatalf("must oob-global findings = %d, want 1: %+v", n, rep.Findings)
 	}
 }
@@ -97,7 +98,7 @@ f:
 d:
     .quad 1
 `)
-	if n := len(mustOfKind(rep, BadIndirect)); n != 1 {
+	if n := len(mustOfKind(rep, jlint.BadIndirect)); n != 1 {
 		t.Fatalf("must bad-indirect findings = %d, want 1: %+v", n, rep.Findings)
 	}
 }
@@ -117,7 +118,7 @@ hidden:
     mov r0, 1
     hlt
 `)
-	if n := len(mustOfKind(rep, BadIndirect)); n != 0 {
+	if n := len(mustOfKind(rep, jlint.BadIndirect)); n != 0 {
 		t.Fatalf("exec-range indirect produced %d must-alarms: %+v", n, rep.Findings)
 	}
 }
@@ -137,7 +138,7 @@ func TestCWE457Detection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: compile: %v", c.ID, v.name, err)
 			}
-			rep, err := Analyze(mod)
+			rep, err := jlint.Analyze(mod)
 			if err != nil {
 				t.Fatalf("%s/%s: analyze: %v", c.ID, v.name, err)
 			}
@@ -146,7 +147,7 @@ func TestCWE457Detection(t *testing.T) {
 				t.Errorf("%s/good: %d must-alarms (want 0): %+v", c.ID, len(musts), musts[0])
 			}
 			if v.bad && c.Definite {
-				uninit := mustOfKind(rep, UninitRead)
+				uninit := mustOfKind(rep, jlint.UninitRead)
 				if len(uninit) == 0 {
 					t.Errorf("%s/bad: definite case missed (findings: %+v)", c.ID, rep.Findings)
 				}
@@ -172,7 +173,7 @@ func TestSafeWorkloadsZeroMustAlarms(t *testing.T) {
 				mods = append(mods, m)
 			}
 			for _, m := range mods {
-				rep, err := Analyze(m)
+				rep, err := jlint.Analyze(m)
 				if err != nil {
 					t.Fatalf("analyze %s: %v", m.Name, err)
 				}
@@ -191,11 +192,11 @@ func TestReportDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		r1, err := Analyze(main)
+		r1, err := jlint.Analyze(main)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := Analyze(main)
+		r2, err := jlint.Analyze(main)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,28 +212,28 @@ func TestVerifyReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Analyze(mod)
+		rep, err := jlint.Analyze(mod)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := VerifyReport(mod, rep); len(v) != 0 {
+		if v := jlint.VerifyReport(mod, rep); len(v) != 0 {
 			t.Errorf("%s: clean report has %d violations: %v", c.ID, len(v), v[0])
 		}
 		if len(rep.Findings) == 0 {
 			t.Fatalf("%s: expected findings", c.ID)
 		}
 		// A report with a finding removed must fail re-derivation.
-		tampered := &Report{Version: rep.Version, Module: rep.Module,
+		tampered := &jlint.Report{Version: rep.Version, Module: rep.Module,
 			ModHash: rep.ModHash, Findings: rep.Findings[1:]}
 		tampered.Finalize()
-		if v := VerifyReport(mod, tampered); len(v) == 0 {
+		if v := jlint.VerifyReport(mod, tampered); len(v) == 0 {
 			t.Errorf("%s: tampered report verified clean", c.ID)
 		}
 		// A report bound to different module content must be rejected.
-		other := &Report{Version: rep.Version, Module: rep.Module,
+		other := &jlint.Report{Version: rep.Version, Module: rep.Module,
 			ModHash: "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"}
 		other.Finalize()
-		if v := VerifyReport(mod, other); len(v) == 0 {
+		if v := jlint.VerifyReport(mod, other); len(v) == 0 {
 			t.Errorf("%s: wrong-hash report verified clean", c.ID)
 		}
 	}

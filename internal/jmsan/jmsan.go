@@ -7,6 +7,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/dbm"
+	"repro/internal/diag"
 	"repro/internal/isa"
 	"repro/internal/rules"
 	"repro/internal/telemetry"
@@ -56,6 +57,24 @@ func (t *Tool) Name() string { return "jmsan" }
 // (internal/anserve).
 func (t *Tool) ConfigKey() string {
 	return fmt.Sprintf("liveness=%t,elide=%t", t.cfg.UseLiveness, t.cfg.Elide)
+}
+
+// ViolationCount implements core.ViolationCounter.
+func (t *Tool) ViolationCount() int { return int(t.Report.Total) }
+
+// Findings implements diag.Finder: every definedness report fired a
+// MEM_DEF_LOAD check.
+func (t *Tool) Findings() []diag.Violation {
+	out := make([]diag.Violation, len(t.Report.Violations))
+	for i, v := range t.Report.Violations {
+		out[i] = diag.Violation{
+			Tool: "jmsan", Kind: "uninitialized-read", PC: v.PC,
+			Addr: v.Addr, Width: v.Width,
+			Rule: "MEM_DEF_LOAD", CostCenter: "def-check",
+			Line: v.String(),
+		}
+	}
+	return out
 }
 
 // RuntimeInit implements core.Tool: installs the definedness trap families

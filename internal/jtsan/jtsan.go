@@ -7,6 +7,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/dbm"
+	"repro/internal/diag"
 	"repro/internal/isa"
 	"repro/internal/rules"
 	"repro/internal/telemetry"
@@ -52,6 +53,29 @@ func (t *Tool) Name() string { return "jtsan" }
 // (internal/anserve).
 func (t *Tool) ConfigKey() string {
 	return fmt.Sprintf("liveness=%t,elide=%t", t.cfg.UseLiveness, t.cfg.Elide)
+}
+
+// ViolationCount implements core.ViolationCounter.
+func (t *Tool) ViolationCount() int { return int(t.Report.Total) }
+
+// Findings implements diag.Finder: use-after-free reports fired a
+// MEM_GEN_CHECK; double and invalid frees fire at the free trap.
+func (t *Tool) Findings() []diag.Violation {
+	out := make([]diag.Violation, len(t.Report.Violations))
+	for i, v := range t.Report.Violations {
+		d := diag.Violation{
+			Tool: "jtsan", Kind: v.Kind, PC: v.PC,
+			Addr: v.Addr, Width: v.Width,
+			Gen: uint64(v.Gen), Object: v.Object,
+			Rule: "QUAR_TICK", CostCenter: "quarantine",
+			Line: v.String(),
+		}
+		if v.Kind == "use-after-free" {
+			d.Rule, d.CostCenter = "MEM_GEN_CHECK", "gen-check"
+		}
+		out[i] = d
+	}
+	return out
 }
 
 // RuntimeInit implements core.Tool: installs the generation-check trap

@@ -8,11 +8,9 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/diag"
-	"repro/internal/jasan"
-	"repro/internal/jmsan"
-	"repro/internal/jtsan"
 	"repro/internal/libj"
 	"repro/internal/loader"
+	"repro/internal/registry"
 	"repro/internal/rules"
 	"repro/internal/telemetry"
 	"repro/internal/vm"
@@ -30,6 +28,15 @@ const (
 	JTSan      Detector = "jtsan"
 	JTSanElide Detector = "jtsan-elide" // jtsan + VSA no-escape check elision
 )
+
+// detectorTools maps each Janitizer detector to its internal/registry tool.
+var detectorTools = map[Detector]string{
+	JASan:      "jasan-scev",
+	JMSan:      "jmsan",
+	JMSanElide: "jmsan-elide",
+	JTSan:      "jtsan",
+	JTSanElide: "jtsan-elide",
+}
 
 // Tally is the Fig. 10 confusion matrix: good variants contribute FP/TN,
 // bad variants TP/FN. A bad variant counts as detected (TP) only when the
@@ -52,7 +59,7 @@ var (
 	libjFiles = map[Detector]*rules.File{}
 )
 
-func libjRules(det Detector, mkTool func() core.Tool) (*rules.File, error) {
+func libjRules(det Detector) (*rules.File, error) {
 	libjMu.Lock()
 	defer libjMu.Unlock()
 	if f, ok := libjFiles[det]; ok {
@@ -62,7 +69,7 @@ func libjRules(det Detector, mkTool func() core.Tool) (*rules.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := core.AnalyzeModule(lj, mkTool())
+	f, err := core.AnalyzeModule(lj, registry.MustNew(detectorTools[det]))
 	if err != nil {
 		return nil, err
 	}
@@ -96,59 +103,21 @@ func RunCaseDiag(det Detector, src string) (uint64, []diag.Violation, error) {
 
 	var tool core.Tool
 	files := map[string]*rules.File{}
-	var reports func() uint64
-	switch det {
-	case JASan:
-		jt := jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true})
-		tool = jt
-		reports = func() uint64 { return jt.Report.Total }
-		ljf, err := libjRules(det, func() core.Tool {
-			return jasan.New(jasan.Config{UseLiveness: true, UseSCEV: true})
-		})
+	if name, ok := detectorTools[det]; ok {
+		tool = registry.MustNew(name)
+		ljf, err := libjRules(det)
 		if err != nil {
 			return 0, nil, err
 		}
-		mf, err := core.AnalyzeModule(main, jt)
+		mf, err := core.AnalyzeModule(main, tool)
 		if err != nil {
 			return 0, nil, err
 		}
 		files[libj.Name] = ljf
 		files[main.Name] = mf
-	case JMSan, JMSanElide:
-		cfg := jmsan.Config{UseLiveness: true, Elide: det == JMSanElide}
-		jt := jmsan.New(cfg)
-		tool = jt
-		reports = func() uint64 { return jt.Report.Total }
-		ljf, err := libjRules(det, func() core.Tool { return jmsan.New(cfg) })
-		if err != nil {
-			return 0, nil, err
-		}
-		mf, err := core.AnalyzeModule(main, jt)
-		if err != nil {
-			return 0, nil, err
-		}
-		files[libj.Name] = ljf
-		files[main.Name] = mf
-	case JTSan, JTSanElide:
-		cfg := jtsan.Config{UseLiveness: true, Elide: det == JTSanElide}
-		jt := jtsan.New(cfg)
-		tool = jt
-		reports = func() uint64 { return jt.Report.Total }
-		ljf, err := libjRules(det, func() core.Tool { return jtsan.New(cfg) })
-		if err != nil {
-			return 0, nil, err
-		}
-		mf, err := core.AnalyzeModule(main, jt)
-		if err != nil {
-			return 0, nil, err
-		}
-		files[libj.Name] = ljf
-		files[main.Name] = mf
-	case Valgrind:
-		vt := baseline.NewValgrind()
-		tool = vt
-		reports = func() uint64 { return vt.Report.Total }
-	default:
+	} else if det == Valgrind {
+		tool = baseline.NewValgrind()
+	} else {
 		return 0, nil, fmt.Errorf("juliet: unknown detector %q", det)
 	}
 
@@ -168,7 +137,7 @@ func RunCaseDiag(det Detector, src string) (uint64, []diag.Violation, error) {
 	_ = rt.Run(lm.RuntimeAddr(main.Entry))
 	dlog := diag.NewLog()
 	diag.Collect(dlog, tool, diag.NewProcessSymbolizer(proc), telemetry.SpanContext{})
-	return reports(), dlog.Entries(), nil
+	return uint64(core.CountViolations(tool)), dlog.Entries(), nil
 }
 
 // Evaluate runs the detector over the suite and tallies Fig. 10's metrics.

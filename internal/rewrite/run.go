@@ -166,7 +166,11 @@ func RunStatic(main *obj.Module, reg loader.Registry, tool core.Tool,
 	if err != nil {
 		return nil, err
 	}
-	for _, jt := range jcfiTools(p.rt.Tool) {
+	for _, leaf := range core.Leaves(p.rt.Tool) {
+		jt, ok := leaf.(*jcfi.Tool)
+		if !ok {
+			continue
+		}
 		cov := p.cov
 		jt.Report.TolerateUninstrumented = func(target uint64) bool {
 			// Instrumented returns always target copy code; anything
@@ -212,20 +216,4 @@ func RunHybrid(main *obj.Module, reg loader.Registry, tool core.Tool,
 		}
 	}
 	return &RunResult{Machine: m, Runtime: p.rt, Rewritten: p.rw}, nil
-}
-
-// jcfiTools extracts every JCFI instance reachable through tool (directly
-// or composed under a MultiTool).
-func jcfiTools(tool core.Tool) []*jcfi.Tool {
-	switch tt := tool.(type) {
-	case *jcfi.Tool:
-		return []*jcfi.Tool{tt}
-	case *core.MultiTool:
-		var out []*jcfi.Tool
-		for _, sub := range tt.Tools {
-			out = append(out, jcfiTools(sub)...)
-		}
-		return out
-	}
-	return nil
 }

@@ -78,6 +78,50 @@ echo "== rewrite bake-off smoke =="
 # the rewritten cells run at all. jrw exits nonzero on any violation.
 go run ./cmd/jrw -bench mcf,lbm,hmmer,omnetpp -verify -parity
 
+echo "== registry CLI smoke =="
+# Every non-artifact internal/registry name must work through both offline
+# front ends: janitizer writes the rule files and jrun runs a clean program
+# under them, each exiting 0 with nothing on stderr. The names come from
+# janitizer's -tool usage (built from the registry) and jrun must advertise
+# the same list, so a command-line front end drifting from the registry
+# fails here.
+REG_DIR=$(mktemp -d)
+go build -o "$REG_DIR/" ./cmd/jcc ./cmd/janitizer ./cmd/jrun
+cat > "$REG_DIR/hello.c" <<'EOC'
+int main() {
+    char *msg = malloc(16);
+    strcpy(msg, "hello janitizer");
+    puts(msg, strlen(msg));
+    free(msg);
+    return 0;
+}
+EOC
+(cd "$REG_DIR" && ./jcc -O2 hello.c >/dev/null)
+tool_names() {
+	"$REG_DIR/$1" -h 2>&1 | sed -n 's/^.*security technique: \(.*\) (default.*$/\1/p' | tr -d ','
+}
+REG_NAMES=$(tool_names janitizer)
+if [ -z "$REG_NAMES" ] || [ "$REG_NAMES" != "$(tool_names jrun)" ]; then
+	echo "registry smoke: janitizer and jrun advertise different tools" >&2
+	exit 1
+fi
+for n in $REG_NAMES; do
+	if ! "$REG_DIR/janitizer" -tool "$n" -outdir "$REG_DIR" "$REG_DIR/hello.jef" \
+		>/dev/null 2>"$REG_DIR/err" || [ -s "$REG_DIR/err" ]; then
+		echo "registry smoke: janitizer -tool $n failed:" >&2
+		cat "$REG_DIR/err" >&2
+		exit 1
+	fi
+	if ! "$REG_DIR/jrun" -tool "$n" -rules "$REG_DIR" "$REG_DIR/hello.jef" \
+		>/dev/null 2>"$REG_DIR/err" || [ -s "$REG_DIR/err" ]; then
+		echo "registry smoke: jrun -tool $n failed:" >&2
+		cat "$REG_DIR/err" >&2
+		exit 1
+	fi
+done
+rm -rf "$REG_DIR"
+echo "registry smoke: $(echo $REG_NAMES | wc -w) tools analyzed and run cleanly"
+
 echo "== janitizerd observability smoke =="
 # Boot the daemon on an ephemeral port and check its observability surface:
 # GET /metrics serves Prometheus text including the janitizer_build_info
