@@ -16,6 +16,7 @@ package dbm
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/isa"
 	"repro/internal/loader"
@@ -72,17 +73,91 @@ func MetaJump(in isa.Instr, target int) CInstr {
 	return CInstr{In: in, JumpTo: target, Meta: true}
 }
 
-// Block is one translated basic block in the code cache.
+// Block is one translated basic block in the code cache, in the executable
+// form the machine's run loop consumes: the client's translation with its
+// CInstr wrappers stripped into dense side arrays.
 type Block struct {
 	// Start is the application (run-time) address the block was built
 	// from.
 	Start uint64
 	// AppLen is the number of application instructions.
 	AppLen int
-	// Code is the translated instruction sequence.
-	Code []CInstr
 	// Execs counts executions of this block.
 	Execs uint64
+
+	// code is the translated instruction sequence.
+	code []isa.Instr
+	// jump[i] is the index a taken meta branch at code[i] continues at,
+	// or -1 when a taken branch there leaves the block (CInstr.JumpTo).
+	jump []int32
+	// cc[i] is the cost center code[i]'s cycles are charged to under a
+	// profile: CCApp for application instructions.
+	cc []telemetry.CostCenter
+
+	// succ links the block's last two successors, most recent first. The
+	// links are valid only while linkGen equals the DBM's flush
+	// generation.
+	succ    [2]link
+	linkGen uint64
+}
+
+// link is one direct dispatch edge out of a block: control leaving it for
+// application address pc continues in blk.
+type link struct {
+	pc  uint64
+	blk *Block
+}
+
+// newBlock converts a client's translation into the executable form. It
+// returns the block and its number of meta instructions.
+func newBlock(start uint64, appLen int, code []CInstr) (*Block, int) {
+	b := &Block{
+		Start: start, AppLen: appLen,
+		code: make([]isa.Instr, len(code)),
+		jump: make([]int32, len(code)),
+		cc:   make([]telemetry.CostCenter, len(code)),
+	}
+	meta := 0
+	for i := range code {
+		c := &code[i]
+		b.code[i] = c.In
+		b.jump[i] = int32(c.JumpTo)
+		b.cc[i] = telemetry.CCApp
+		if c.Meta {
+			b.cc[i] = c.CC
+			meta++
+		}
+	}
+	return b, meta
+}
+
+// successor returns the block linked for application address pc in flush
+// generation gen, or nil. A nil receiver has no links.
+func (b *Block) successor(pc, gen uint64) *Block {
+	if b == nil || b.linkGen != gen {
+		return nil
+	}
+	if b.succ[0].pc == pc {
+		return b.succ[0].blk
+	}
+	if b.succ[1].pc == pc {
+		return b.succ[1].blk
+	}
+	return nil
+}
+
+// linkTo records next as b's most recent successor in generation gen,
+// dropping links left from an earlier generation.
+func (b *Block) linkTo(next *Block, gen uint64) {
+	if b == nil {
+		return
+	}
+	if b.linkGen != gen {
+		b.succ = [2]link{}
+		b.linkGen = gen
+	}
+	b.succ[1] = b.succ[0]
+	b.succ[0] = link{pc: next.Start, blk: next}
 }
 
 // BlockContext is what a client sees when a block is first built.
@@ -170,6 +245,12 @@ type DBM struct {
 	TraceHook func(pc uint64)
 
 	cache map[uint64]*Block
+	// gen is the flush generation: Flush and FlushRange bump it, which
+	// invalidates every block link made before.
+	gen uint64
+	// prev is the block dispatched last; Step tries its links before
+	// the cache map.
+	prev *Block
 }
 
 // New creates a dynamic modifier over a loaded process. proc may be nil when
@@ -196,6 +277,7 @@ func (d *DBM) Flush() {
 	d.Stats.Flushes++
 	d.Stats.FlushedBlocks += uint64(len(d.cache))
 	d.cache = map[uint64]*Block{}
+	d.gen++
 }
 
 // FlushRange evicts cached blocks whose start address lies in [lo, hi) —
@@ -208,6 +290,7 @@ func (d *DBM) FlushRange(lo, hi uint64) {
 			d.Stats.FlushedBlocks++
 		}
 	}
+	d.gen++
 }
 
 // RegisterMetrics exposes the code-cache counters on a telemetry registry
@@ -253,26 +336,32 @@ func (d *DBM) Run(entry uint64) error {
 	return nil
 }
 
-// Step dispatches exactly one block at the machine's current PC: cache
-// lookup (or translation on a miss) followed by execution. On return m.PC
-// holds the next application address, or the machine has halted. Step is
-// Run's loop body, exported so the hybrid rewriting backend can interleave
-// DBM dispatch with native execution of statically rewritten code.
+// Step dispatches exactly one block at the machine's current PC: a linked
+// transition from the previous block, else a cache lookup (or translation
+// on a miss), followed by execution. On return m.PC holds the next
+// application address, or the machine has halted. Step is Run's loop body,
+// exported so the hybrid rewriting backend can interleave DBM dispatch with
+// native execution of statically rewritten code.
 func (d *DBM) Step() error {
-	m := d.M
+	pc := d.M.PC
 	if d.TraceHook != nil {
-		d.TraceHook(m.PC)
+		d.TraceHook(pc)
 	}
-	blk := d.cache[m.PC]
-	if blk == nil {
-		var err error
-		blk, err = d.build(m.PC)
-		if err != nil {
-			return err
-		}
-	} else {
+	blk := d.prev.successor(pc, d.gen)
+	if blk != nil {
 		d.Stats.CacheHits++
+	} else {
+		if blk = d.cache[pc]; blk != nil {
+			d.Stats.CacheHits++
+		} else {
+			var err error
+			if blk, err = d.build(pc); err != nil {
+				return err
+			}
+		}
+		d.prev.linkTo(blk, d.gen)
 	}
+	d.prev = blk
 	return d.exec(blk)
 }
 
@@ -291,8 +380,11 @@ func (d *DBM) endRunSpan(sp *telemetry.Span) {
 // build decodes, rewrites and caches the block starting at addr (Fig. 4
 // step 2: the dispatcher fetches the block and hands it to the modifier).
 func (d *DBM) build(addr uint64) (*Block, error) {
-	appInstrs, err := d.decodeBlock(addr)
+	appInstrs, err := vm.DecodeBlock(d.M.Mem, addr)
 	if err != nil {
+		if f, ok := err.(*vm.Fault); ok && strings.HasPrefix(f.Kind, "undecodable") {
+			f.Kind = "dbm: " + f.Kind
+		}
 		return nil, err
 	}
 	var mod *loader.LoadedModule
@@ -305,76 +397,44 @@ func (d *DBM) build(addr uint64) (*Block, error) {
 	if len(code) == 0 {
 		return nil, fmt.Errorf("dbm: client returned empty block at %#x", addr)
 	}
-	blk := &Block{Start: addr, AppLen: len(appInstrs), Code: code}
+	blk, meta := newBlock(addr, len(appInstrs), code)
 	d.cache[addr] = blk
 
 	d.Stats.BlocksBuilt++
 	d.Stats.AppInstrsInCache += uint64(len(appInstrs))
-	for i := range code {
-		if code[i].Meta {
-			d.Stats.MetaInstrsInCache++
-		}
-	}
+	d.Stats.MetaInstrsInCache += uint64(meta)
 	buildCost := d.Costs.BlockBuild + d.Costs.PerInstr*uint64(len(appInstrs))
 	d.M.AddCycles(buildCost)
 	d.Prof.Charge(telemetry.CCDispatch, buildCost, 0)
 	return blk, nil
 }
 
-// decodeBlock reads application instructions from memory until the first
-// control transfer or system instruction.
-func (d *DBM) decodeBlock(addr uint64) ([]isa.Instr, error) {
-	var out []isa.Instr
-	var buf [isa.MaxInstrLen]byte
-	pc := addr
-	for {
-		if err := d.M.Mem.ReadBytes(pc, buf[:]); err != nil {
-			return nil, err
-		}
-		in, err := isa.Decode(buf[:], pc)
-		if err != nil {
-			if len(out) > 0 {
-				return out, nil
-			}
-			return nil, &vm.Fault{PC: pc,
-				Kind: "dbm: undecodable instruction: " + err.Error()}
-		}
-		out = append(out, in)
-		pc += uint64(in.Size)
-		if in.IsCTI() || in.Op == isa.OpSyscall || in.Op == isa.OpTrap {
-			return out, nil
-		}
-	}
-}
-
-// exec runs one cached block. Meta branches with JumpTo continue inside the
-// block; application control transfers leave it with m.PC holding the next
-// application address. Indirect terminators charge the dispatch cost.
+// exec runs one cached block through the machine's run loop. Meta branches
+// with a jump target continue inside the block; application control
+// transfers leave it with m.PC holding the next application address.
+// Indirect terminators charge the dispatch cost.
 //
-// With a profile attached, each instruction's cycle delta — including any
-// cycles its trap handler adds — is charged to its cost center, and the
-// dispatch cost to CCDispatch, so the profile's total matches the
-// machine's cycle counter exactly.
+// With a profile attached, the same loop runs one instruction at a time and
+// charges each instruction's cycle delta — including any cycles its trap
+// handler adds — to its cost center, and the dispatch cost to CCDispatch,
+// so the profile's total matches the machine's cycle counter exactly.
 func (d *DBM) exec(b *Block) error {
 	m := d.M
 	b.Execs++
 	d.Stats.BlockExecs++
 	prof := d.Prof
-	i := 0
-	for i < len(b.Code) {
-		c := &b.Code[i]
-		var taken bool
-		var err error
+	code := b.code
+	for i := 0; i < len(code); {
+		end := len(code)
+		var before uint64
 		if prof != nil {
-			before := m.Cycles
-			taken, err = m.Exec(&c.In)
-			cc := telemetry.CCApp
-			if c.Meta {
-				cc = c.CC
-			}
-			prof.Charge(cc, m.Cycles-before, 1)
-		} else {
-			taken, err = m.Exec(&c.In)
+			end = i + 1
+			before = m.Cycles
+		}
+		n, taken, err := m.ExecRun(code[i:end])
+		n += i
+		if prof != nil {
+			prof.Charge(b.cc[n], m.Cycles-before, 1)
 		}
 		if err != nil {
 			return err
@@ -383,19 +443,19 @@ func (d *DBM) exec(b *Block) error {
 			return nil
 		}
 		if taken {
-			if c.JumpTo >= 0 {
-				i = c.JumpTo
+			if j := b.jump[n]; j >= 0 {
+				i = int(j)
 				continue
 			}
 			// Application control transfer.
-			if c.In.IsIndirectCTI() {
+			if code[n].IsIndirectCTI() {
 				d.Stats.IndirectDispatch++
 				m.AddCycles(d.Costs.IndirectDispatch)
 				prof.Charge(telemetry.CCDispatch, d.Costs.IndirectDispatch, 0)
 			}
 			return nil
 		}
-		i++
+		i = n + 1
 	}
 	// Fell through the end: m.PC already holds the fall-through address
 	// set by the last executed instruction.

@@ -12,7 +12,7 @@ import (
 
 // setup assembles src, loads it (with libj) and returns a DBM with the given
 // client.
-func setup(t *testing.T, src string, client Client) (*vm.Machine, *DBM, uint64) {
+func setup(t testing.TB, src string, client Client) (*vm.Machine, *DBM, uint64) {
 	t.Helper()
 	m := vm.New()
 	m.InstallDefaultServices()

@@ -22,28 +22,6 @@ var Costs = struct {
 	ALU: 1, Mem: 2, Branch: 1, CallRet: 2, Syscall: 30, Trap: 40, Nop: 1,
 }
 
-// instrCost returns the weighted cost of one instruction.
-func instrCost(op isa.Op) uint64 {
-	switch op {
-	case isa.OpLdQ, isa.OpStQ, isa.OpLdB, isa.OpStB, isa.OpLdXQ, isa.OpStXQ,
-		isa.OpLdXB, isa.OpStXB, isa.OpPush, isa.OpPop, isa.OpPushF,
-		isa.OpPopF, isa.OpLdPC:
-		return Costs.Mem
-	case isa.OpJmp, isa.OpJmpI, isa.OpJe, isa.OpJne, isa.OpJl, isa.OpJle,
-		isa.OpJg, isa.OpJge, isa.OpJb, isa.OpJae:
-		return Costs.Branch
-	case isa.OpCall, isa.OpCallI, isa.OpRet:
-		return Costs.CallRet
-	case isa.OpSyscall:
-		return Costs.Syscall
-	case isa.OpTrap:
-		return Costs.Trap
-	case isa.OpNop:
-		return Costs.Nop
-	}
-	return Costs.ALU
-}
-
 // ExitError reports program termination through SysExit with a non-panic
 // path; Run returns nil for a zero exit status and the machine records the
 // status either way.
@@ -84,7 +62,8 @@ type Machine struct {
 	// exactly as code-cache traps do under the dynamic modifier.
 	TrapOrigin map[uint64]uint64
 
-	traps map[int64]TrapHandler
+	// traps is indexed by trap code; see HandleTrap.
+	traps []TrapHandler
 
 	// brk is the current program break for SysBrk.
 	brk uint64
@@ -97,23 +76,11 @@ type Machine struct {
 	// blocks caches decoded straight-line runs for native execution.
 	blocks map[uint64][]isa.Instr
 
-	// WatchLo/WatchHi, when WatchHi > WatchLo, define a write watchpoint:
-	// WatchHook fires on any store intersecting [WatchLo, WatchHi).
-	WatchLo, WatchHi uint64
-	WatchHook        func(pc, addr uint64)
-
 	// BlockHook, when set, observes every straight-line block dispatched
 	// by native Run — the executed-block signal coverage-guided fuzzing
 	// (internal/fuzz) feeds into a metrics.Bitmap. The dynamic modifier
 	// exposes the same signal through dbm.DBM.TraceHook.
 	BlockHook func(pc uint64)
-}
-
-// watch fires the watchpoint hook if [addr, addr+n) intersects the range.
-func (m *Machine) watch(pc, addr uint64, n uint64) {
-	if m.WatchHook != nil && addr < m.WatchHi && addr+n > m.WatchLo {
-		m.WatchHook(pc, addr)
-	}
 }
 
 // New returns a machine with an empty address space, the stack pointer at
@@ -122,7 +89,6 @@ func New() *Machine {
 	m := &Machine{
 		Mem:     NewMemory(),
 		Canary:  0x00c0ffee_5afe_f00d & 0x00ffffff_ffffffff,
-		traps:   map[int64]TrapHandler{},
 		brk:     isa.LayoutHeapBase,
 		jitNext: isa.LayoutJITBase,
 		Out:     io.Discard,
@@ -132,20 +98,41 @@ func New() *Machine {
 	return m
 }
 
+// MaxTrapCode bounds the trap codes a handler may be registered for:
+// handlers live in a table indexed by code, the lookup every executed
+// OpTrap makes. Executing a trap whose code has no handler, which includes
+// every negative code and every code at or above this bound, faults with
+// "unhandled trap N".
+const MaxTrapCode = 1 << 16
+
 // HandleTrap registers (or replaces) the handler for trap code. Registering
-// a nil handler removes the code.
+// a nil handler removes the code. Registering a non-nil handler for a code
+// outside [0, MaxTrapCode) panics: codes are chosen by tool runtimes, never
+// by the program.
 func (m *Machine) HandleTrap(code int64, h TrapHandler) {
-	if h == nil {
-		delete(m.traps, code)
+	if code < 0 || code >= MaxTrapCode {
+		if h != nil {
+			panic(fmt.Sprintf("vm: trap code %d outside [0, %d)", code, MaxTrapCode))
+		}
 		return
 	}
-	m.traps[code] = h
+	if h != nil && int(code) >= len(m.traps) {
+		m.traps = append(m.traps, make([]TrapHandler, int(code)+1-len(m.traps))...)
+	}
+	if int(code) < len(m.traps) {
+		m.traps[code] = h
+	}
 }
 
 // TrapHandlerFor returns the registered handler for code, or nil. Tool
 // runtimes use it to wrap (interpose on) existing services such as the
 // program allocator.
-func (m *Machine) TrapHandlerFor(code int64) TrapHandler { return m.traps[code] }
+func (m *Machine) TrapHandlerFor(code int64) TrapHandler {
+	if uint64(code) < uint64(len(m.traps)) {
+		return m.traps[code]
+	}
+	return nil
+}
 
 // AddCycles charges extra cycles (used by the dynamic modifier to model
 // translation and dispatch costs).

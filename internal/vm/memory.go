@@ -33,21 +33,43 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("vm: fault %s at pc=%#x addr=%#x", f.Kind, f.PC, f.Addr)
 }
 
-// Memory is the flat paged address space. Pages are allocated on first
-// touch and zero-filled; accesses beyond AddrLimit fault. Like hardware, the
-// memory itself enforces no object bounds — that is the sanitizers' job.
+// Memory is the flat paged address space. Pages are committed on first
+// write and zero-filled; a read of a never-written page returns zeros from
+// one shared page without committing anything. Accesses beyond AddrLimit
+// fault. Like hardware, the memory itself enforces no object bounds — that
+// is the sanitizers' job.
 type Memory struct {
 	pages []*[pageSize]byte
 }
+
+// zeroPage backs every read of a never-written page. Nothing writes it.
+var zeroPage [pageSize]byte
 
 // NewMemory returns an empty address space.
 func NewMemory() *Memory {
 	return &Memory{pages: make([]*[pageSize]byte, numPages)}
 }
 
-func (m *Memory) page(addr uint64) (*[pageSize]byte, error) {
+func rangeFault(addr uint64) error {
+	return &Fault{Addr: addr, Kind: "address out of range"}
+}
+
+// readPage returns the page holding addr for reading.
+func (m *Memory) readPage(addr uint64) (*[pageSize]byte, error) {
 	if addr >= AddrLimit {
-		return nil, &Fault{Addr: addr, Kind: "address out of range"}
+		return nil, rangeFault(addr)
+	}
+	if p := m.pages[addr>>pageShift]; p != nil {
+		return p, nil
+	}
+	return &zeroPage, nil
+}
+
+// writePage returns the page holding addr for writing, committing it on
+// first touch.
+func (m *Memory) writePage(addr uint64) (*[pageSize]byte, error) {
+	if addr >= AddrLimit {
+		return nil, rangeFault(addr)
 	}
 	idx := addr >> pageShift
 	p := m.pages[idx]
@@ -58,9 +80,56 @@ func (m *Memory) page(addr uint64) (*[pageSize]byte, error) {
 	return p, nil
 }
 
+// readSplit reads the n-byte (n <= 8) little-endian word at addr whose
+// bytes cross from one page into the next: two page lookups in all. A
+// crossing past AddrLimit faults at the first address beyond it, as
+// ReadBytes does.
+func (m *Memory) readSplit(addr, n uint64) (uint64, error) {
+	p, err := m.readPage(addr)
+	if err != nil {
+		return 0, err
+	}
+	off := addr & (pageSize - 1)
+	k := pageSize - off // bytes in the first page
+	q, err := m.readPage(addr + k)
+	if err != nil {
+		return 0, err
+	}
+	// The k bytes ending page p, then the first n-k bytes of page q.
+	v := binary.LittleEndian.Uint64(p[pageSize-8:])>>(64-8*k) |
+		binary.LittleEndian.Uint64(q[:8])<<(8*k)
+	if n < 8 {
+		v &= 1<<(8*n) - 1
+	}
+	return v, nil
+}
+
+// writeSplit is readSplit's store of the low n bytes of v. As with
+// WriteBytes, the bytes in the first page are written before a crossing
+// past AddrLimit faults.
+func (m *Memory) writeSplit(addr, v, n uint64) error {
+	p, err := m.writePage(addr)
+	if err != nil {
+		return err
+	}
+	off := addr & (pageSize - 1)
+	k := pageSize - off
+	for i := uint64(0); i < k; i++ {
+		p[off+i] = byte(v >> (8 * i))
+	}
+	q, err := m.writePage(addr + k)
+	if err != nil {
+		return err
+	}
+	for i := k; i < n; i++ {
+		q[i-k] = byte(v >> (8 * i))
+	}
+	return nil
+}
+
 // ReadB reads one byte.
 func (m *Memory) ReadB(addr uint64) (byte, error) {
-	p, err := m.page(addr)
+	p, err := m.readPage(addr)
 	if err != nil {
 		return 0, err
 	}
@@ -69,7 +138,7 @@ func (m *Memory) ReadB(addr uint64) (byte, error) {
 
 // WriteB writes one byte.
 func (m *Memory) WriteB(addr uint64, v byte) error {
-	p, err := m.page(addr)
+	p, err := m.writePage(addr)
 	if err != nil {
 		return err
 	}
@@ -79,63 +148,50 @@ func (m *Memory) WriteB(addr uint64, v byte) error {
 
 // Read64 reads a little-endian 8-byte word.
 func (m *Memory) Read64(addr uint64) (uint64, error) {
-	off := addr & (pageSize - 1)
-	if off <= pageSize-8 {
-		p, err := m.page(addr)
+	if off := addr & (pageSize - 1); off <= pageSize-8 {
+		p, err := m.readPage(addr)
 		if err != nil {
 			return 0, err
 		}
-		return binary.LittleEndian.Uint64(p[off : off+8]), nil
+		return binary.LittleEndian.Uint64(p[off:]), nil
 	}
-	var buf [8]byte
-	if err := m.ReadBytes(addr, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
+	return m.readSplit(addr, 8)
 }
 
 // Write64 writes a little-endian 8-byte word.
 func (m *Memory) Write64(addr uint64, v uint64) error {
-	off := addr & (pageSize - 1)
-	if off <= pageSize-8 {
-		p, err := m.page(addr)
+	if off := addr & (pageSize - 1); off <= pageSize-8 {
+		p, err := m.writePage(addr)
 		if err != nil {
 			return err
 		}
-		binary.LittleEndian.PutUint64(p[off:off+8], v)
+		binary.LittleEndian.PutUint64(p[off:], v)
 		return nil
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	return m.WriteBytes(addr, buf[:])
+	return m.writeSplit(addr, v, 8)
 }
 
 // Read32 reads a little-endian 4-byte word.
 func (m *Memory) Read32(addr uint64) (uint32, error) {
-	off := addr & (pageSize - 1)
-	if off <= pageSize-4 {
-		p, err := m.page(addr)
+	if off := addr & (pageSize - 1); off <= pageSize-4 {
+		p, err := m.readPage(addr)
 		if err != nil {
 			return 0, err
 		}
-		return binary.LittleEndian.Uint32(p[off : off+4]), nil
+		return binary.LittleEndian.Uint32(p[off:]), nil
 	}
-	var buf [4]byte
-	if err := m.ReadBytes(addr, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
+	v, err := m.readSplit(addr, 4)
+	return uint32(v), err
 }
 
 // ReadBytes fills buf from memory starting at addr.
 func (m *Memory) ReadBytes(addr uint64, buf []byte) error {
 	for len(buf) > 0 {
-		p, err := m.page(addr)
+		p, err := m.readPage(addr)
 		if err != nil {
 			return err
 		}
-		off := addr & (pageSize - 1)
-		n := copy(buf, p[off:])
+		n := copy(buf, p[addr&(pageSize-1):])
 		buf = buf[n:]
 		addr += uint64(n)
 	}
@@ -145,12 +201,11 @@ func (m *Memory) ReadBytes(addr uint64, buf []byte) error {
 // WriteBytes copies buf into memory starting at addr.
 func (m *Memory) WriteBytes(addr uint64, buf []byte) error {
 	for len(buf) > 0 {
-		p, err := m.page(addr)
+		p, err := m.writePage(addr)
 		if err != nil {
 			return err
 		}
-		off := addr & (pageSize - 1)
-		n := copy(p[off:], buf)
+		n := copy(p[addr&(pageSize-1):], buf)
 		buf = buf[n:]
 		addr += uint64(n)
 	}
