@@ -173,6 +173,9 @@ func (s *Service) HandlerWith(tools map[string]ToolFactory, opts HandlerOpts) ht
 	if diagLog == nil {
 		diagLog = diag.NewLog()
 	}
+	s.reg.CounterFunc("janitizer_violations_dropped_total",
+		"Violation reports not kept because the log was full (diag.MaxRecords).",
+		diagLog.Dropped)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /analyze", func(w http.ResponseWriter, r *http.Request) {

@@ -214,3 +214,27 @@ func TestTraceLimitValidation(t *testing.T) {
 		t.Fatalf("bogus limit: %d", w.Code)
 	}
 }
+
+// TestViolationsDroppedMetric checks that reports a full violation log
+// could not keep surface on /metrics.
+func TestViolationsDroppedMetric(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	dlog := diag.NewLog()
+	h := svc.HandlerWith(DefaultTools(), HandlerOpts{Diag: dlog})
+	for pc := uint64(0); pc < diag.MaxRecords+3; pc++ {
+		dlog.Add(diag.Violation{Tool: "jasan", Kind: "heap-buffer-overflow", PC: pc})
+	}
+	samples, err := telemetry.ParsePrometheus(doReq(t, h, "GET", "/metrics", nil).Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range samples {
+		if s.Name == "janitizer_violations_dropped_total" {
+			if s.Value != 3 {
+				t.Fatalf("janitizer_violations_dropped_total = %v, want 3", s.Value)
+			}
+			return
+		}
+	}
+	t.Fatal("janitizer_violations_dropped_total not exported")
+}

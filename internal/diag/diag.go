@@ -111,12 +111,19 @@ func hashID(v *Violation) string {
 	return fmt.Sprintf("%x", h.Sum(nil))[:16]
 }
 
+// MaxRecords bounds the distinct records one Log keeps, so a daemon-wide
+// log fed by untrusted programs cannot grow without limit.
+const MaxRecords = 4096
+
 // Log accumulates violations with content-hash deduplication. Safe for
 // concurrent use. A nil Log ignores writes and reads as empty, so serving
-// paths can record unconditionally.
+// paths can record unconditionally. Once MaxRecords distinct records are
+// kept, repeats of a kept record still count, and reports of new records
+// are only counted (Dropped).
 type Log struct {
-	mu   sync.Mutex
-	byID map[string]*Violation
+	mu      sync.Mutex
+	byID    map[string]*Violation
+	dropped uint64
 }
 
 // NewLog returns an empty violation log.
@@ -142,7 +149,22 @@ func (l *Log) Add(v Violation) {
 		prev.Count += v.Count
 		return
 	}
+	if len(l.byID) >= MaxRecords {
+		l.dropped += v.Count
+		return
+	}
 	l.byID[v.ID] = &v
+}
+
+// Dropped returns the number of reports not stored because their record
+// was new while the log already held MaxRecords records.
+func (l *Log) Dropped() uint64 {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.dropped
 }
 
 // Len returns the number of distinct (deduplicated) violations.
@@ -155,7 +177,7 @@ func (l *Log) Len() int {
 	return len(l.byID)
 }
 
-// Total returns the total raw report count across all records.
+// Total returns the total raw report count across all kept records.
 func (l *Log) Total() uint64 {
 	if l == nil {
 		return 0

@@ -226,3 +226,33 @@ int main() { return helper(4); }
 		t.Fatal("symbolized an address below the module")
 	}
 }
+
+func TestLogBounded(t *testing.T) {
+	log := diag.NewLog()
+	mk := func(pc uint64) diag.Violation {
+		return diag.Violation{Tool: "jasan", Kind: "heap-buffer-overflow", PC: pc}
+	}
+	for pc := uint64(0); pc < diag.MaxRecords+10; pc++ {
+		log.Add(mk(pc))
+	}
+	log.Add(mk(0))                    // repeat of a kept record: counted on it
+	log.Add(mk(diag.MaxRecords + 20)) // another new record: dropped
+	if log.Len() != diag.MaxRecords {
+		t.Fatalf("Len = %d, want %d", log.Len(), diag.MaxRecords)
+	}
+	if got := log.Dropped(); got != 11 {
+		t.Fatalf("Dropped = %d, want 11", got)
+	}
+	if got := log.Total(); got != diag.MaxRecords+1 {
+		t.Fatalf("Total = %d, want %d", got, diag.MaxRecords+1)
+	}
+	for _, v := range log.Entries() {
+		want := uint64(1)
+		if v.PC == 0 {
+			want = 2
+		}
+		if v.Count != want {
+			t.Fatalf("pc %#x count = %d, want %d", v.PC, v.Count, want)
+		}
+	}
+}

@@ -122,7 +122,7 @@ func (w *Workload) Build(picMain bool) (*obj.Module, loader.Registry, error) {
 }
 
 // sortedKeys returns the map's keys in sorted order.
-func sortedKeys(m map[string]string) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -148,4 +148,34 @@ func Names() []string {
 		out = append(out, w.Name)
 	}
 	return out
+}
+
+// LargestModule returns the module with the most executable bytes over
+// every workload's non-PIC build and registry: the input of the per-layer
+// analysis benchmarks.
+func LargestModule() (*obj.Module, error) {
+	var best *obj.Module
+	var bestSize uint64
+	for _, w := range All() {
+		main, reg, err := w.Build(false)
+		if err != nil {
+			return nil, err
+		}
+		mods := []*obj.Module{main}
+		for _, name := range sortedKeys(reg) {
+			mods = append(mods, reg[name])
+		}
+		for _, m := range mods {
+			var size uint64
+			for i := range m.Sections {
+				if m.Sections[i].Executable() {
+					size += uint64(len(m.Sections[i].Data))
+				}
+			}
+			if size > bestSize {
+				best, bestSize = m, size
+			}
+		}
+	}
+	return best, nil
 }

@@ -1,7 +1,9 @@
 package vsa
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sort"
 	"strings"
 
@@ -31,11 +33,18 @@ type slotVal struct {
 	push bool
 }
 
+// slot is a tracked frame slot at F-relative byte offset off.
+type slot struct {
+	off int64
+	slotVal
+}
+
 // State is the abstract machine state at one program point: one Value per
-// register plus the tracked frame slots (keyed by F-relative byte offset).
+// register plus the tracked frame slots, sorted by F-relative byte offset
+// with at most maxSlots entries.
 type State struct {
 	Regs  [isa.NumRegs]Value
-	slots map[int64]slotVal
+	slots []slot
 }
 
 // entryState is the state at function entry: every register holds its own
@@ -70,16 +79,14 @@ func (e *engine) entryStateFor(entry uint64) *State {
 func (st *State) clone() *State {
 	ns := &State{Regs: st.Regs}
 	if len(st.slots) > 0 {
-		ns.slots = make(map[int64]slotVal, len(st.slots))
-		for k, v := range st.slots {
-			ns.slots[k] = v
-		}
+		ns.slots = append([]slot(nil), st.slots...)
 	}
 	return ns
 }
 
 // joinFrom joins src into st (in place), widening grown bounds when widen is
-// set. It reports whether st changed.
+// set. It reports whether st changed. Only offsets tracked in both states
+// survive: a merge of the two sorted slot lists.
 func (st *State) joinFrom(src *State, widen bool) bool {
 	changed := false
 	for r := range st.Regs {
@@ -94,25 +101,31 @@ func (st *State) joinFrom(src *State, widen bool) bool {
 			changed = true
 		}
 	}
-	for off, sv := range st.slots {
-		ov, ok := src.slots[off]
-		if !ok {
-			delete(st.slots, off)
+	out := st.slots[:0]
+	j := 0
+	for _, s := range st.slots {
+		for j < len(src.slots) && src.slots[j].off < s.off {
+			j++
+		}
+		if j == len(src.slots) || src.slots[j].off != s.off {
 			changed = true
 			continue
 		}
+		o := src.slots[j]
 		var nv Value
 		if widen {
-			nv = sv.v.Widen(ov.v)
+			nv = s.v.Widen(o.v)
 		} else {
-			nv = sv.v.Join(ov.v)
+			nv = s.v.Join(o.v)
 		}
-		push := sv.push && ov.push
-		if !nv.Eq(sv.v) || push != sv.push {
-			st.slots[off] = slotVal{v: nv, push: push}
+		push := s.push && o.push
+		if !nv.Eq(s.v) || push != s.push {
+			s.slotVal = slotVal{v: nv, push: push}
 			changed = true
 		}
+		out = append(out, s)
 	}
+	st.slots = out
 	return changed
 }
 
@@ -123,56 +136,58 @@ func frameSingleton(v Value) (int64, bool) {
 	return v.Singleton()
 }
 
+// slotIndex returns the position of off in the sorted slots, or where it
+// would be inserted, and whether a slot is tracked there.
+func (st *State) slotIndex(off int64) (int, bool) {
+	return slices.BinarySearchFunc(st.slots, off, func(s slot, off int64) int {
+		return cmp.Compare(s.off, off)
+	})
+}
+
+// slotAt returns the slot tracked at F-offset off.
+func (st *State) slotAt(off int64) (slotVal, bool) {
+	if i, ok := st.slotIndex(off); ok {
+		return st.slots[i].slotVal, true
+	}
+	return slotVal{}, false
+}
+
 // killSlots drops every slot overlapping the byte range [lo,hi].
 func (st *State) killSlots(lo, hi int64) {
-	for off := range st.slots {
-		if off+7 >= lo && off <= hi {
-			delete(st.slots, off)
-		}
-	}
+	st.slots = slices.DeleteFunc(st.slots, func(s slot) bool { return s.off+7 >= lo && s.off <= hi })
 }
 
 func (st *State) setSlot(off int64, v Value, push bool) {
 	st.killSlots(off-7, off+7)
-	if st.slots == nil {
-		st.slots = map[int64]slotVal{}
-	}
 	if len(st.slots) >= maxSlots {
 		return
 	}
-	st.slots[off] = slotVal{v: v, push: push}
+	i, _ := st.slotIndex(off)
+	st.slots = slices.Insert(st.slots, i, slot{off: off, slotVal: slotVal{v: v, push: push}})
 }
 
 // dropStoreSlots removes slots last written by ordinary stores, keeping
 // push slots (the memory-discipline axiom: register-save slot addresses
 // never escape, so unknown stores and callees cannot alias them).
 func (st *State) dropStoreSlots() {
-	for off, sv := range st.slots {
-		if !sv.push {
-			delete(st.slots, off)
-		}
-	}
+	st.slots = slices.DeleteFunc(st.slots, func(s slot) bool { return !s.push })
 }
 
 // dropSlotsBelow removes every slot at an F-offset strictly below off:
 // addresses at or below the current stack pointer are architecturally
 // clobberable by callees.
 func (st *State) dropSlotsBelow(off int64) {
-	for o := range st.slots {
-		if o < off {
-			delete(st.slots, o)
-		}
-	}
+	st.slots = slices.DeleteFunc(st.slots, func(s slot) bool { return s.off < off })
 }
 
-func (st *State) clearSlots() { st.slots = nil }
+func (st *State) clearSlots() { st.slots = st.slots[:0] }
 
 // havocAll forgets everything: registers and slots.
 func (st *State) havocAll() {
 	for r := range st.Regs {
 		st.Regs[r] = Top()
 	}
-	st.slots = nil
+	st.clearSlots()
 }
 
 // FnSummary abstracts a call's effect on the caller: which registers the
@@ -302,6 +317,10 @@ func AnalyzeWithEntries(mod *obj.Module, g *cfg.Graph, canaries []analysis.Canar
 			Balanced:  true,
 		}
 	}
+	// Rounds visit g.Funcs in order and meet summaries in place
+	// (Gauss–Seidel); a function whose kept run is still exact is not re-run.
+	ru := &reuse{e: e, runs: map[uint64]*funcRun{}, ranAt: map[uint64]int{},
+		changedAt: map[uint64]int{}}
 	for round := 0; round < summaryRounds; round++ {
 		changed := false
 		for _, fn := range g.Funcs {
@@ -309,13 +328,14 @@ func AnalyzeWithEntries(mod *obj.Module, g *cfg.Graph, canaries []analysis.Canar
 			if old == nil {
 				continue
 			}
-			fr := e.runFunc(fn)
+			fr := ru.run(fn)
 			ns := FnSummary{
 				Preserved: old.Preserved & fr.preserved,
 				Balanced:  old.Balanced && fr.balanced,
 			}
 			if ns != *old {
 				e.sums[fn.Entry] = &ns
+				ru.changedAt[fn.Entry] = ru.clock
 				changed = true
 			}
 		}
@@ -341,23 +361,60 @@ func AnalyzeWithEntries(mod *obj.Module, g *cfg.Graph, canaries []analysis.Canar
 	}
 	// Final pass: record per-block entry states and per-function direct
 	// assumptions + callees, then close the assumptions transitively over
-	// the call graph.
+	// the call graph. Kept runs are reused under the same rule; only when
+	// the round cap stopped a still-changing fixpoint are stale ones re-run.
 	directAssume := map[uint64]map[string]bool{}
 	callees := map[uint64]map[uint64]bool{}
 	for _, fn := range g.Funcs {
 		if e.poisoned[fn.Entry] || e.pltName[fn.Entry] != "" {
 			continue
 		}
-		fr := e.runFunc(fn)
+		fr := ru.run(fn)
 		for addr, st := range fr.states {
 			res.entries[addr] = st
 		}
 		directAssume[fn.Entry] = fr.assumes
 		callees[fn.Entry] = fr.callees
 	}
+	// closeAssumes mutates the kept runs' assumption sets: no run may be
+	// reused after this point.
 	closeAssumes(res, directAssume, callees)
 	res.deriveCanarySlots(canaries)
 	return res
+}
+
+// reuse keeps each function's last run inside one AnalyzeWithEntries call.
+// runFunc(fn) is a pure function of fn and of the callee summaries it reads,
+// all of which it records in fr.callees, so a kept run stays exact until one
+// of those summaries changes after it ran. A function's own change makes its
+// recursive self-call stale the same way.
+type reuse struct {
+	e         *engine
+	runs      map[uint64]*funcRun
+	ranAt     map[uint64]int // logical time of each kept run
+	changedAt map[uint64]int // logical time of each summary's last change
+	clock     int
+}
+
+// run returns fn's kept run when no summary it read has changed since, and
+// a fresh run otherwise.
+func (ru *reuse) run(fn *cfg.Function) *funcRun {
+	if fr := ru.runs[fn.Entry]; fr != nil && ru.fresh(fn.Entry, fr) {
+		return fr
+	}
+	ru.clock++
+	fr := ru.e.runFunc(fn)
+	ru.runs[fn.Entry], ru.ranAt[fn.Entry] = fr, ru.clock
+	return fr
+}
+
+func (ru *reuse) fresh(entry uint64, fr *funcRun) bool {
+	for c := range fr.callees {
+		if ru.changedAt[c] >= ru.ranAt[entry] {
+			return false
+		}
+	}
+	return true
 }
 
 // closeAssumes propagates assumption sets from callees to callers until
@@ -845,7 +902,7 @@ func (e *engine) step(st *State, in *isa.Instr) {
 	case isa.OpLdQ:
 		v := Top()
 		if off, ok := frameSingleton(st.Regs[in.Rb].AddConst(int64(in.Disp))); ok {
-			if sv, ok2 := st.slots[off]; ok2 {
+			if sv, ok2 := st.slotAt(off); ok2 {
 				v = sv.v
 			}
 		}
@@ -924,7 +981,7 @@ func (e *engine) step(st *State, in *isa.Instr) {
 	case isa.OpPop:
 		v := Top()
 		if off, ok := frameSingleton(st.Regs[isa.SP]); ok {
-			if sv, ok2 := st.slots[off]; ok2 {
+			if sv, ok2 := st.slotAt(off); ok2 {
 				v = sv.v
 			}
 		}

@@ -22,6 +22,12 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== layer benchmarks (one iteration each) =="
+# Runs every per-layer Go benchmark once so none of them rots; the numbers
+# themselves are not gated here.
+go test -run '^$' -bench . -benchtime=1x ./internal/vm ./internal/dbm \
+	./internal/vsa ./internal/cfg
+
 echo "== janalyze determinism lint =="
 # Repository-wide map-iteration lint: any `range` over a map feeding an
 # emission or serialisation path is a nondeterministic-output bug (Go map
